@@ -10,7 +10,8 @@
 //! * `route-layers/<n>` — full `route_general` on a warm context with
 //!   the decomposition memoized but every layer routed fresh: the
 //!   per-layer scheduling cost the front-end fans out to;
-//! * `warm-cached/<n>`  — `route_general_cached` steady state: memo hit
+//! * `warm-cached/<n>`  — `route_general` on a cache-enabled context,
+//!   steady state: memo hit
 //!   plus per-layer schedule-cache hits plus pooled assembly (the
 //!   streaming figure; tests/alloc_gate.rs pins it allocation-free).
 //!
@@ -62,12 +63,12 @@ fn bench_e14(c: &mut Criterion) {
         cached_ctx.enable_cache(cst_engine::DEFAULT_CACHE_CAPACITY);
         // Warm: first call misses and inserts, second settles the pools.
         for _ in 0..2 {
-            let out = cached_ctx.route_general_cached(&Csa, &topo, &gset).unwrap();
+            let out = cached_ctx.route_general(&Csa, &topo, &gset).unwrap();
             cached_ctx.recycle_general(out);
         }
         group.bench_with_input(BenchmarkId::new("warm-cached", n), &n, |b, _| {
             b.iter(|| {
-                let out = cached_ctx.route_general_cached(&Csa, &topo, &gset).unwrap();
+                let out = cached_ctx.route_general(&Csa, &topo, &gset).unwrap();
                 let rounds = out.rounds;
                 cached_ctx.recycle_general(out);
                 std::hint::black_box(rounds)

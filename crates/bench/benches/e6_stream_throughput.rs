@@ -3,12 +3,13 @@
 //!
 //! Five ids, all n = 1024, density 0.5:
 //!
-//! * `cached`        — warm cache hit (`route_cached`, resident entry):
+//! * `cached`        — warm cache hit (`route` on a cache-enabled
+//!   context, resident entry):
 //!   the locality-heavy steady state of a request stream;
 //! * `uncached`      — the same request through plain `route` every time
 //!   (the pre-cache baseline; this is `BENCH_e5.json`'s `csa/1024`
 //!   workload shape, which the smoke script sanity-checks against);
-//! * `cold`          — `route_cached` forced to miss every iteration
+//! * `cold`          — cache-enabled `route` forced to miss every iteration
 //!   (capacity-1 cache, two alternating requests): fingerprint + probe +
 //!   schedule + insert + copy-out — the full cold-path cost;
 //! * `cold-baseline` — the **same alternating stream** through plain
@@ -22,7 +23,7 @@
 use bench::workload;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cst_comm::{PeChange, SchedulePool};
-use cst_engine::{Csa, EngineCtx};
+use cst_engine::{Csa, EngineCtx, DEFAULT_CACHE_CAPACITY};
 use cst_padr::IncrementalCsa;
 
 fn bench_e6_stream(c: &mut Criterion) {
@@ -38,13 +39,14 @@ fn bench_e6_stream(c: &mut Criterion) {
     // measured steady state never touches the scheduler (or the heap —
     // tests/alloc_gate.rs pins that).
     let mut ctx = EngineCtx::new();
-    let out = ctx.route_cached(&Csa, &topo, &set).unwrap();
-    ctx.recycle(out);
-    let out = ctx.route_cached(&Csa, &topo, &set).unwrap();
-    ctx.recycle(out);
+    ctx.enable_cache(DEFAULT_CACHE_CAPACITY);
+    for _ in 0..2 {
+        let out = ctx.route(&Csa, &topo, &set).unwrap();
+        ctx.recycle(out);
+    }
     group.bench_with_input(BenchmarkId::new("cached", n), &n, |b, _| {
         b.iter(|| {
-            let out = ctx.route_cached(&Csa, &topo, &set).unwrap();
+            let out = ctx.route(&Csa, &topo, &set).unwrap();
             let rounds = out.rounds;
             ctx.recycle(out);
             std::hint::black_box(rounds)
@@ -73,7 +75,7 @@ fn bench_e6_stream(c: &mut Criterion) {
         b.iter(|| {
             flip = !flip;
             let req = if flip { &set } else { &other };
-            let out = ctx.route_cached(&Csa, &topo, req).unwrap();
+            let out = ctx.route(&Csa, &topo, req).unwrap();
             let rounds = out.rounds;
             ctx.recycle(out);
             std::hint::black_box(rounds)

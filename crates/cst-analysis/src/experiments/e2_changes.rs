@@ -1,4 +1,4 @@
-//! **E2 — Theorem 8 vs [6] (per-switch configuration cost vs width).**
+//! **E2 — Theorem 8 vs \[6\] (per-switch configuration cost vs width).**
 //!
 //! Sweeps the width `w` at fixed `N` and reports, for the hottest switch:
 //!

@@ -1,7 +1,7 @@
 //! The experiment suite (E1..E8) — the reproduction's evaluation section.
 //!
 //! The paper is a theory paper with no numeric tables; its results are
-//! Theorems 4/5/8 and the contrast with Roy et al. [6]. Each experiment
+//! Theorems 4/5/8 and the contrast with Roy et al. \[6\]. Each experiment
 //! measures one claim on generated workloads; DESIGN.md §7 maps ids to
 //! claims, EXPERIMENTS.md records expected-vs-measured shapes.
 

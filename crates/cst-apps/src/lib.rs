@@ -9,7 +9,7 @@
 //! * [`exec`] — the step executor (schedule + transfer + combine + power);
 //! * [`prefix_sum`] — Hillis–Steele recursive doubling (maximally
 //!   crossing traffic; stresses the layering extension);
-//! * [`reduce`] — tree reduction and broadcast (width-1 steps, `log n`
+//! * [`reduce`](mod@reduce) — tree reduction and broadcast (width-1 steps, `log n`
 //!   rounds total);
 //! * [`sort`] — odd–even transposition sort (adjacent exchanges; the
 //!   minimal-power regime).

@@ -3,11 +3,11 @@
 //! the Circuit Switched Tree", IJFCS 17(2), 2006** — the prior work the
 //! paper improves on.
 //!
-//! The 2007 paper tells us everything we rely on about [6]: it assigns an
+//! The 2007 paper tells us everything we rely on about \[6\]: it assigns an
 //! **ID to each communication**, uses the ID to configure switches and
 //! establish each round's paths, takes `Θ(w)` rounds on well-nested sets,
 //! and costs a switch **O(w)** configuration changes. The exact ID
-//! assignment of [6] is not reproducible from the 2007 paper alone, so we
+//! assignment of \[6\] is not reproducible from the 2007 paper alone, so we
 //! use the natural *link-aware nesting level*:
 //!
 //! > `level(c) = 1 + max { level(c') : c' ⊋ c and c' shares a directed
@@ -20,7 +20,7 @@
 //! only consecutively — see `level_can_exceed_width_on_staircase`);
 //! experiment E1 reports measured `rounds/w` ratios — on random
 //! well-nested workloads they coincide almost always, consistent with
-//! [6]'s `Θ(w)` bound.
+//! \[6\]'s `Θ(w)` bound.
 //!
 //! # Where the O(w)-vs-O(1) power contrast comes from
 //!

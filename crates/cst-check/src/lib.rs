@@ -147,7 +147,7 @@ pub fn analyze(
 }
 
 /// [`analyze`] for degraded artifacts: a schedule routed under a hardware
-/// [`FaultMask`] with `dropped` listing the communications the router
+/// [`FaultMask`](cst_core::FaultMask) with `dropped` listing the communications the router
 /// classified unroutable.
 ///
 /// Runs every pass of [`analyze`], then replaces its coverage verdicts

@@ -2,7 +2,7 @@
 //!
 //! Every edge of the CST is a full-duplex link between a node and its
 //! parent; it carries two independent directed channels. The definition of
-//! a *compatible* communication set (paper §1, citing [3]) is exactly "no
+//! a *compatible* communication set (paper §1, citing \[3\]) is exactly "no
 //! two communications use the same edge in the same direction", so directed
 //! links are the unit of conflict everywhere in this workspace.
 

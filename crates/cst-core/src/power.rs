@@ -35,7 +35,7 @@ pub struct SwitchPower {
     /// Total power units under **write-through semantics**: every
     /// connection required in a round costs a unit, whether or not it was
     /// already set. This models a protocol (like the ID-based comparator
-    /// [6]) that re-establishes each round's paths from scratch and gives
+    /// \[6\]) that re-establishes each round's paths from scratch and gives
     /// switches no basis for retaining settings.
     pub writethrough_units: u32,
     /// Number of rounds in which this switch changed configuration.

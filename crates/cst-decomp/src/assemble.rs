@@ -5,7 +5,7 @@
 //! set, remapped from each layer's local ids via `layers[j]`. Assembly
 //! runs on every engine request — including warm cache hits — so it
 //! draws every shell from the [`SchedulePool`] and stays off the
-//! allocator once the pool is sized (the `route_general_cached` gate in
+//! allocator once the pool is sized (the warm general-hit gate in
 //! `tests/alloc_gate.rs`).
 
 use cst_comm::{CommId, Round, Schedule, SchedulePool};

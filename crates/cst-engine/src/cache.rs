@@ -19,8 +19,7 @@
 
 use crate::DegradationReport;
 use cst_comm::{CommSet, Schedule};
-use cst_core::{CstError, CstTopology, FaultMask, PowerReport};
-use cst_sim::CompiledProgram;
+use cst_core::{FaultMask, PowerReport};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -86,11 +85,6 @@ pub(crate) struct Entry {
     pub(crate) rounds: usize,
     pub(crate) power: PowerReport,
     pub(crate) degradation: Option<DegradationReport>,
-    /// Lazily-attached compiled replay program for this entry's schedule
-    /// (see `EngineCtx::route_compiled`): compiled on the first compiled
-    /// request, reused verbatim by every later hit. Overwriting the entry
-    /// salvages the program's buffers into the cache's spare pool.
-    pub(crate) compiled: Option<CompiledProgram>,
     /// Fully-encoded response bytes for this entry (the serve daemon's
     /// unit of caching): a hit is an `Arc` clone plus a socket write, no
     /// re-serialization. `None` for entries routed through the plain
@@ -102,7 +96,7 @@ pub(crate) struct Entry {
 }
 
 /// Fixed-capacity LRU cache of routing outcomes. See the module docs for
-/// the representation; see `EngineCtx::route_cached` for the keying rules
+/// the representation; see `EngineCtx::enable_cache` for the keying rules
 /// (router name + set fingerprint + fault-mask fingerprint).
 #[derive(Debug)]
 pub struct ScheduleCache {
@@ -121,13 +115,6 @@ pub struct ScheduleCache {
     misses: u64,
     evictions: u64,
     collisions: u64,
-    /// Compiled programs salvaged from overwritten entries, reused (via
-    /// `recompile`) before allocating fresh ones — `SchedulePool` for
-    /// straight-line programs.
-    spare_programs: Vec<CompiledProgram>,
-    /// Programs compiled and attached to entries (not served from one) —
-    /// the "zero recompilation on a hit" counter.
-    compile_count: u64,
 }
 
 impl ScheduleCache {
@@ -145,17 +132,7 @@ impl ScheduleCache {
             misses: 0,
             evictions: 0,
             collisions: 0,
-            spare_programs: Vec::new(),
-            compile_count: 0,
         }
-    }
-
-    /// How many times a compiled program was built (first compiled request
-    /// per resident entry). Hits on an already-attached program do not
-    /// count — that is the point.
-    #[doc(hidden)]
-    pub fn compile_count(&self) -> u64 {
-        self.compile_count
     }
 
     /// Current counters.
@@ -261,7 +238,6 @@ impl ScheduleCache {
                 rounds: 0,
                 power: PowerReport::default(),
                 degradation: None,
-                compiled: None,
                 payload: None,
                 prev: NIL,
                 next: NIL,
@@ -278,12 +254,6 @@ impl ScheduleCache {
             victim
         };
         self.by_fp.insert(fp, slot);
-        // The slot's compiled program (if any) was lowered from the
-        // schedule being overwritten: stale now, but its buffers are not —
-        // salvage it for the next first-compile.
-        if let Some(stale) = self.slab[slot as usize].compiled.take() {
-            self.spare_programs.push(stale);
-        }
         let e = &mut self.slab[slot as usize];
         // Any encoded payload was serialized from the overwritten
         // schedule; it must not survive the overwrite.
@@ -393,45 +363,6 @@ impl ScheduleCache {
             resident = true;
         }
         PayloadInsertOutcome { displaced, evicted_fp, resident }
-    }
-
-    /// The compiled replay program of the entry at `fp`, lowering and
-    /// attaching it on first use (reusing a salvaged spare program's
-    /// buffers when one is available). Returns `None` when no entry
-    /// matches the full request key — the cache is disabled, or the slot
-    /// was lost to a fingerprint collision since the schedule was routed.
-    pub(crate) fn compiled_program(
-        &mut self,
-        fp: u64,
-        router: &str,
-        set: &CommSet,
-        mask: Option<&FaultMask>,
-        topo: &CstTopology,
-    ) -> Result<Option<&CompiledProgram>, CstError> {
-        let fp = fp & self.fp_mask;
-        let Some(&slot) = self.by_fp.get(&fp) else { return Ok(None) };
-        let spare = self.spare_programs.pop();
-        let e = &mut self.slab[slot as usize];
-        if !(e.router == router && e.set == *set && e.mask.as_deref_eq(mask)) {
-            if let Some(p) = spare {
-                self.spare_programs.push(p);
-            }
-            return Ok(None);
-        }
-        if e.compiled.is_none() {
-            let prog = match spare {
-                Some(mut p) => {
-                    p.recompile(topo, &e.set, &e.schedule)?;
-                    p
-                }
-                None => CompiledProgram::compile(topo, &e.set, &e.schedule)?,
-            };
-            e.compiled = Some(prog);
-            self.compile_count += 1;
-        } else if let Some(p) = spare {
-            self.spare_programs.push(p);
-        }
-        Ok(self.slab[slot as usize].compiled.as_ref())
     }
 
     /// Move `slot` to the most-recently-used position.

@@ -4,7 +4,6 @@
 //! workspace's allocation-gate test for the serial CSA).
 
 use crate::cache::{CacheStats, ScheduleCache};
-use crate::degrade::DegradationReport;
 use crate::outcome::{PhaseTimings, RouteExtra, RouteOutcome};
 use crate::registry;
 use crate::router::Router;
@@ -13,8 +12,8 @@ use cst_core::{CstError, CstTopology, FaultMask, Fp64, MergedRound, PowerReport}
 use cst_padr::{CsaScratch, ParallelScratch};
 use std::time::Instant;
 
-/// Capacity [`EngineCtx::route_cached`] uses when the caller has not
-/// sized the cache explicitly with [`EngineCtx::enable_cache`].
+/// A reasonable [`EngineCtx::enable_cache`] capacity for callers with no
+/// better size in mind (also what [`EngineCtx::set_cache_fp_bits`] enables).
 pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 
 /// Reusable scratch for repeated routing requests.
@@ -47,18 +46,11 @@ pub struct EngineCtx {
     pub(crate) parallel: ParallelScratch,
     pub(crate) merged: MergedRound,
     pub(crate) pool: SchedulePool,
-    /// Schedule cache; `None` until the first `route_cached`-family call
-    /// (or an explicit [`EngineCtx::enable_cache`]). Plain `route` never
-    /// consults it.
+    /// Schedule cache; `None` until [`EngineCtx::enable_cache`]. While
+    /// `None`, every route call dispatches straight to the router.
     pub(crate) cache: Option<ScheduleCache>,
-    /// Replay buffers for the compiled-replay path; outcomes come back
-    /// through [`EngineCtx::recycle_sim`].
-    pub(crate) replay: cst_sim::ReplayScratch,
-    /// Pooled compiled program for compiled requests the cache cannot hold
-    /// (disabled cache, collision-displaced entry).
-    pub(crate) local_program: Option<cst_sim::CompiledProgram>,
     /// Last general request's decomposition, memoized so a repeated
-    /// [`EngineCtx::route_general_cached`] request skips the layering pass
+    /// [`EngineCtx::route_general`] request skips the layering pass
     /// entirely (fingerprint prefilter + set equality, like the cache).
     pub(crate) general_memo: Option<crate::general::GeneralMemo>,
     /// Recycled per-layer accounting buffers for general outcomes
@@ -73,13 +65,17 @@ impl EngineCtx {
         EngineCtx::default()
     }
 
-    /// Route `set` on `topo` with an explicit router.
+    /// Route `set` on `topo` with an explicit router — through the
+    /// schedule cache once [`EngineCtx::enable_cache`] has run.
     pub fn route(
         &mut self,
         router: &dyn Router,
         topo: &CstTopology,
         set: &CommSet,
     ) -> Result<RouteOutcome, CstError> {
+        if self.cache.is_some() {
+            return self.route_via_cache(router, topo, set, None);
+        }
         router.route(self, topo, set)
     }
 
@@ -93,7 +89,7 @@ impl EngineCtx {
     ) -> Result<RouteOutcome, CstError> {
         let router = registry::find(name)
             .ok_or_else(|| CstError::UnknownRouter { name: name.to_string() })?;
-        router.route(self, topo, set)
+        self.route(router.as_ref(), topo, set)
     }
 
     /// Return an outcome's recyclable parts (schedule, meter) to the pool
@@ -126,13 +122,17 @@ impl EngineCtx {
     }
 }
 
-/// The streaming front-end: fingerprint-keyed caching and batch routing.
+/// Caching is context state: once [`EngineCtx::enable_cache`] has run,
+/// [`EngineCtx::route`], [`EngineCtx::route_masked`] and
+/// [`EngineCtx::route_general`] (per layer) look up and insert through
+/// the context's [`ScheduleCache`]; a context that never enabled it
+/// routes straight through the router.
 ///
 /// Keying rules (see `docs/ENGINE.md` §"Caching & streaming"):
-/// * the key fingerprints the **router name**, the **set**, and — for
-///   masked requests — the **fault mask**, so no router ever serves
-///   another router's schedule and `route_masked_cached` never serves a
-///   fault-free schedule under a live mask;
+/// * the key is [`request_fingerprint`]: the **router name**, the
+///   **set**, and — for masked requests — the **fault mask**, so no
+///   router ever serves another router's schedule and a masked request
+///   never gets a fault-free schedule under a live mask;
 /// * an **empty** mask keys identically to a plain request (masked
 ///   routing with no faults is defined as byte-identical to plain
 ///   routing), with the clean `DegradationReport` re-attached on a hit;
@@ -140,28 +140,22 @@ impl EngineCtx {
 ///   and may collide; a collision is a counted miss, never a wrong
 ///   schedule.
 impl EngineCtx {
-    /// Size (or resize) the schedule cache. Resizing discards resident
-    /// entries but keeps nothing else; pass 0 to disable caching while
-    /// keeping the `route_cached` call sites intact.
+    /// Size (or resize) the schedule cache and route through it from now
+    /// on. Resizing discards resident entries; pass 0 to keep the
+    /// counters running while caching nothing.
     pub fn enable_cache(&mut self, capacity: usize) {
         self.cache = Some(ScheduleCache::new(capacity));
     }
 
-    /// Counters of the schedule cache, if one has been created.
+    /// Counters of the schedule cache; `None` until
+    /// [`EngineCtx::enable_cache`] has run.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| c.stats())
     }
 
-    /// How many compiled programs the cache has built so far. Pinned by
-    /// tests: repeat compiled requests must not recompile.
-    #[doc(hidden)]
-    pub fn cache_compile_count(&self) -> u64 {
-        self.cache.as_ref().map_or(0, |c| c.compile_count())
-    }
-
     /// Test knob: truncate cache fingerprints to `bits` low bits to make
-    /// collisions likely (exercises the equality fallback). Creates the
-    /// cache at the default capacity if absent.
+    /// collisions likely (exercises the equality fallback). Enables the
+    /// cache at [`DEFAULT_CACHE_CAPACITY`] if it is not already on.
     #[doc(hidden)]
     pub fn set_cache_fp_bits(&mut self, bits: u32) {
         self.cache
@@ -169,197 +163,13 @@ impl EngineCtx {
             .set_fp_bits(bits);
     }
 
-    /// [`EngineCtx::route`] through the schedule cache: a hit returns the
-    /// cached outcome (schedule copied out of pooled shells, zero
-    /// allocations when warm) without touching the scheduler; a miss
-    /// routes normally and inserts. Creates the cache at
-    /// [`DEFAULT_CACHE_CAPACITY`] on first use.
-    pub fn route_cached(
-        &mut self,
-        router: &dyn Router,
-        topo: &CstTopology,
-        set: &CommSet,
-    ) -> Result<RouteOutcome, CstError> {
-        self.route_cached_inner(router, topo, set, None)
-    }
-
-    /// [`EngineCtx::route_cached`] through the registry by stable name.
-    pub fn route_named_cached(
-        &mut self,
-        name: &str,
-        topo: &CstTopology,
-        set: &CommSet,
-    ) -> Result<RouteOutcome, CstError> {
-        let router = registry::find(name)
-            .ok_or_else(|| CstError::UnknownRouter { name: name.to_string() })?;
-        self.route_cached_inner(router.as_ref(), topo, set, None)
-    }
-
-    /// [`EngineCtx::route_masked`] through the schedule cache. The mask
-    /// participates in the cache key, so identical sets under different
-    /// masks are distinct entries; an empty mask shares the plain
-    /// request's entry (and re-attaches the clean report on a hit).
-    pub fn route_masked_cached(
-        &mut self,
-        router: &dyn Router,
-        topo: &CstTopology,
-        set: &CommSet,
-        mask: &FaultMask,
-    ) -> Result<RouteOutcome, CstError> {
-        if mask.is_empty() {
-            let mut out = self.route_cached_inner(router, topo, set, None)?;
-            out.degradation = Some(DegradationReport::fault_free(set.len()));
-            return Ok(out);
-        }
-        self.route_cached_inner(router, topo, set, Some(mask))
-    }
-
-    /// Route a request slice, deduplicating by fingerprint: each unique
-    /// set is routed (through the cache) exactly once, duplicates are
-    /// fanned back out as copies, and the outcomes come back in input
-    /// order.
-    pub fn route_batch(
-        &mut self,
-        router: &dyn Router,
-        topo: &CstTopology,
-        sets: &[CommSet],
-    ) -> Result<Vec<RouteOutcome>, CstError> {
-        // representative[i] = first index whose set equals sets[i]
-        // (fingerprint prefilter, equality to confirm — collisions must
-        // not merge distinct requests).
-        let fps: Vec<u64> = sets.iter().map(|s| s.fingerprint()).collect();
-        let representative: Vec<usize> = (0..sets.len())
-            .map(|i| {
-                (0..i)
-                    .find(|&j| fps[j] == fps[i] && sets[j] == sets[i])
-                    .unwrap_or(i)
-            })
-            .collect();
-
-        // One pass in input order: a representative routes through the
-        // cache; a duplicate copies from its representative's outcome,
-        // which is already in `outcomes` because rep < i.
-        let mut outcomes: Vec<RouteOutcome> = Vec::with_capacity(sets.len());
-        for i in 0..sets.len() {
-            let rep = representative[i];
-            if rep == i {
-                outcomes.push(self.route_cached(router, topo, &sets[i])?);
-            } else {
-                let t0 = Instant::now();
-                let stats = self.cache_stats().unwrap_or_default();
-                let src = &outcomes[rep];
-                let schedule = self.pool.copy_schedule(&src.schedule);
-                outcomes.push(RouteOutcome {
-                    router: src.router,
-                    rounds: src.rounds,
-                    power: src.power.clone(),
-                    degradation: src.degradation.clone(),
-                    schedule,
-                    timings: PhaseTimings::total_only(t0.elapsed().as_nanos() as u64),
-                    extra: RouteExtra::Cached { stats },
-                });
-            }
-        }
-        Ok(outcomes)
-    }
-
-    /// The cache key of one request (see [`request_fingerprint`]).
-    fn request_fp(router: &str, set: &CommSet, mask: Option<&FaultMask>) -> u64 {
-        request_fingerprint(router, set, mask)
-    }
-
-    /// Route through the schedule cache **and** execute the schedule on
-    /// the compiled-replay simulator in one call.
-    ///
-    /// The request routes via [`EngineCtx::route_cached`]; its cache entry
-    /// then carries a lazily-attached [`cst_sim::CompiledProgram`], so the
-    /// first compiled request per entry pays one lowering pass and every
-    /// later hit replays the cached program with **zero recompilation**
-    /// (program buffers are pooled and reused like `SchedulePool`
-    /// schedules — eviction salvages them, first-compiles reuse them).
-    /// The returned [`cst_sim::SimOutcome`] is byte-for-byte identical to
-    /// `cst_sim::simulate_schedule` on the routed schedule with default
-    /// payloads; recycle it with [`EngineCtx::recycle_sim`].
-    pub fn route_compiled(
-        &mut self,
-        router: &dyn Router,
-        topo: &CstTopology,
-        set: &CommSet,
-    ) -> Result<(RouteOutcome, cst_sim::SimOutcome), CstError> {
-        self.route_compiled_inner(router, topo, set, None)
-    }
-
-    /// [`EngineCtx::route_compiled`] through the registry by stable name.
-    pub fn route_named_compiled(
-        &mut self,
-        name: &str,
-        topo: &CstTopology,
-        set: &CommSet,
-    ) -> Result<(RouteOutcome, cst_sim::SimOutcome), CstError> {
-        let router = registry::find(name)
-            .ok_or_else(|| CstError::UnknownRouter { name: name.to_string() })?;
-        self.route_compiled_inner(router.as_ref(), topo, set, None)
-    }
-
-    /// [`EngineCtx::route_masked`] plus compiled replay of the degraded
-    /// schedule. Half-duplex split rounds lower like any others — just
-    /// more instructions — and an empty mask shares the plain request's
-    /// entry and program, exactly like [`EngineCtx::route_masked_cached`].
-    pub fn route_masked_compiled(
-        &mut self,
-        router: &dyn Router,
-        topo: &CstTopology,
-        set: &CommSet,
-        mask: &FaultMask,
-    ) -> Result<(RouteOutcome, cst_sim::SimOutcome), CstError> {
-        if mask.is_empty() {
-            let (mut out, sim) = self.route_compiled_inner(router, topo, set, None)?;
-            out.degradation = Some(DegradationReport::fault_free(set.len()));
-            return Ok((out, sim));
-        }
-        self.route_compiled_inner(router, topo, set, Some(mask))
-    }
-
-    /// Return a replayed outcome's buffers to the replay scratch so the
-    /// next compiled request reuses them (the `recycle` of this path).
-    pub fn recycle_sim(&mut self, sim: cst_sim::SimOutcome) {
-        self.replay.recycle(sim);
-    }
-
-    fn route_compiled_inner(
-        &mut self,
-        router: &dyn Router,
-        topo: &CstTopology,
-        set: &CommSet,
-        mask: Option<&FaultMask>,
-    ) -> Result<(RouteOutcome, cst_sim::SimOutcome), CstError> {
-        let out = self.route_cached_inner(router, topo, set, mask)?;
-        let fp = Self::request_fp(router.name(), set, mask);
-        let payloads = cst_sim::default_payloads(set);
-        // Warm path: the entry this request just hit (or inserted) holds
-        // the compiled program; replay it through the context's scratch.
-        if let Some(cache) = self.cache.as_mut() {
-            if let Some(prog) = cache.compiled_program(fp, router.name(), set, mask, topo)? {
-                let sim = prog.replay_with(&mut self.replay, &payloads)?;
-                return Ok((out, sim));
-            }
-        }
-        // No resident entry (cache disabled or displaced): lower into the
-        // context's own pooled program.
-        let prog = match self.local_program.as_mut() {
-            Some(p) => {
-                p.recompile(topo, set, &out.schedule)?;
-                p
-            }
-            None => self
-                .local_program
-                .insert(cst_sim::CompiledProgram::compile(topo, set, &out.schedule)?),
-        };
-        let sim = prog.replay_with(&mut self.replay, &payloads)?;
-        Ok((out, sim))
-    }
-
-    fn route_cached_inner(
+    /// One request through the schedule cache: a hit returns the cached
+    /// outcome (schedule copied out of pooled shells, zero allocations
+    /// when warm) without touching the scheduler; a miss dispatches
+    /// straight to the router (or the degrade pass under a live mask)
+    /// and inserts. Only called with the cache enabled, so the uncached
+    /// path never pays for the fingerprint.
+    pub(crate) fn route_via_cache(
         &mut self,
         router: &dyn Router,
         topo: &CstTopology,
@@ -367,43 +177,40 @@ impl EngineCtx {
         mask: Option<&FaultMask>,
     ) -> Result<RouteOutcome, CstError> {
         let t0 = Instant::now();
-        let fp = Self::request_fp(router.name(), set, mask);
+        let fp = request_fingerprint(router.name(), set, mask);
         // Hit path: cache and pool are disjoint fields, so the cached
         // schedule can be copied out through pooled round shells while
         // the entry is still borrowed.
-        let cache = self
-            .cache
-            .get_or_insert_with(|| ScheduleCache::new(DEFAULT_CACHE_CAPACITY));
-        if let Some(entry) = cache.lookup(fp, router.name(), set, mask) {
-            let schedule = self.pool.copy_schedule(&entry.schedule);
-            let rounds = entry.rounds;
-            let router_name = entry.router;
-            let power = entry.power.clone();
-            let degradation = entry.degradation.clone();
-            let stats = cache.stats();
-            return Ok(RouteOutcome {
-                router: router_name,
-                schedule,
-                rounds,
-                power,
-                timings: PhaseTimings::total_only(t0.elapsed().as_nanos() as u64),
-                extra: RouteExtra::Cached { stats },
-                degradation,
-            });
+        if let Some(cache) = self.cache.as_mut() {
+            if let Some(entry) = cache.lookup(fp, router.name(), set, mask) {
+                let schedule = self.pool.copy_schedule(&entry.schedule);
+                let rounds = entry.rounds;
+                let router_name = entry.router;
+                let power = entry.power.clone();
+                let degradation = entry.degradation.clone();
+                let stats = cache.stats();
+                return Ok(RouteOutcome {
+                    router: router_name,
+                    schedule,
+                    rounds,
+                    power,
+                    timings: PhaseTimings::total_only(t0.elapsed().as_nanos() as u64),
+                    extra: RouteExtra::Cached { stats },
+                    degradation,
+                });
+            }
         }
 
         let mut out = match mask {
-            Some(m) => self.route_masked(router, topo, set, m)?,
-            None => self.route(router, topo, set)?,
+            Some(m) => self.route_degraded(router, topo, set, m)?,
+            None => router.route(self, topo, set)?,
         };
+        let Some(cache) = self.cache.as_mut() else { return Ok(out) };
         // The fresh schedule moves into the entry (no clone); the caller
         // gets a copy through pooled shells — the same cheap path a hit
         // takes — and the displaced victim schedule recirculates into the
-        // pool. With the cache disabled the schedule comes straight back.
+        // pool. With a zero-capacity cache the schedule comes straight back.
         let fresh = std::mem::take(&mut out.schedule);
-        let cache = self
-            .cache
-            .get_or_insert_with(|| ScheduleCache::new(DEFAULT_CACHE_CAPACITY));
         let ins = cache.insert(
             fp,
             out.router,
@@ -432,8 +239,8 @@ impl EngineCtx {
 /// name (length-prefixed), the communication-set fingerprint, and the
 /// fault-mask fingerprint behind a presence tag — so "no mask" can never
 /// alias any real mask. This is the *one* keying function for every
-/// schedule cache in the workspace: `EngineCtx`'s private cache, the
-/// batch dedupe, and the serve daemon's shared
+/// schedule cache in the workspace: `EngineCtx`'s private cache and the
+/// serve daemon's batch dedupe and shared
 /// [`ShardedScheduleCache`](crate::ShardedScheduleCache) all call it, so
 /// a request fingerprinted on one side of a socket addresses the same
 /// entry on the other.

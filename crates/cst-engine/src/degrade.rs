@@ -18,7 +18,6 @@
 
 use crate::ctx::EngineCtx;
 use crate::outcome::{PhaseTimings, RouteExtra, RouteOutcome};
-use crate::registry;
 use crate::router::Router;
 use cst_comm::CommSet;
 use cst_core::{CstError, CstTopology, FaultCause, FaultMask};
@@ -154,8 +153,10 @@ impl EngineCtx {
     /// [`DegradationReport`] with `routed + dropped == set.len()`.
     ///
     /// With an empty mask this is exactly [`EngineCtx::route`] plus a
-    /// clean report: same schedule bytes, no extra allocation on the warm
-    /// serial-CSA path.
+    /// clean report: same schedule bytes, same cache entry, no extra
+    /// allocation on the warm serial-CSA path. Once
+    /// [`EngineCtx::enable_cache`] has run, a live mask is part of the
+    /// cache key.
     pub fn route_masked(
         &mut self,
         router: &dyn Router,
@@ -168,7 +169,21 @@ impl EngineCtx {
             out.degradation = Some(DegradationReport::fault_free(set.len()));
             return Ok(out);
         }
+        if self.cache.is_some() {
+            return self.route_via_cache(router, topo, set, Some(mask));
+        }
+        self.route_degraded(router, topo, set, mask)
+    }
 
+    /// The uncached masked route under a non-empty mask: partition,
+    /// route the survivors, split half-duplex rounds.
+    pub(crate) fn route_degraded(
+        &mut self,
+        router: &dyn Router,
+        topo: &CstTopology,
+        set: &CommSet,
+        mask: &FaultMask,
+    ) -> Result<RouteOutcome, CstError> {
         let start = Instant::now();
         let part = degrade::partition_by_mask(topo, set, mask);
         let mut report = DegradationReport {
@@ -237,32 +252,8 @@ impl EngineCtx {
         out.degradation = Some(report);
         Ok(out)
     }
-
-    /// [`EngineCtx::route_masked`] through the registry by stable name.
-    pub fn route_named_masked(
-        &mut self,
-        name: &str,
-        topo: &CstTopology,
-        set: &CommSet,
-        mask: &FaultMask,
-    ) -> Result<RouteOutcome, CstError> {
-        let router = registry::find(name)
-            .ok_or_else(|| CstError::UnknownRouter { name: name.to_string() })?;
-        self.route_masked(router.as_ref(), topo, set, mask)
-    }
 }
 
 fn elapsed_ns(start: Instant) -> u64 {
     start.elapsed().as_nanos() as u64
-}
-
-/// Convenience one-shot masked route (fresh context each call). Prefer a
-/// long-lived [`EngineCtx`] with [`EngineCtx::route_masked`] in loops.
-pub fn route_once_masked(
-    name: &str,
-    topo: &CstTopology,
-    set: &CommSet,
-    mask: &FaultMask,
-) -> Result<RouteOutcome, CstError> {
-    EngineCtx::new().route_named_masked(name, topo, set, mask)
 }

@@ -3,8 +3,8 @@
 //! A [`GeneralCommSet`] — any multiset-free collection of undirected leaf
 //! pairs — is split by `cst-decomp` into a minimum-count sequence of
 //! right-oriented well-nested layers, each layer is routed through the
-//! ordinary [`Router`] machinery (so layers flow through the
-//! [`crate::ScheduleCache`] on the cached path), and the per-layer
+//! ordinary [`EngineCtx::route`] (so layers flow through the
+//! [`crate::ScheduleCache`] once the context has enabled it), and the per-layer
 //! schedules are concatenated into one composite whose `CommId`s are the
 //! *input pair ids* of the general set.
 //!
@@ -75,114 +75,15 @@ pub struct GeneralOutcome {
 
 impl EngineCtx {
     /// Route an arbitrary communication set: decompose into well-nested
-    /// layers, route each with `router`, concatenate. Does not consult
-    /// the schedule cache (compare [`EngineCtx::route_general_cached`]);
-    /// the decomposition memo is still used.
+    /// layers, route each with `router`, concatenate. The decomposition
+    /// memo is always consulted; each layer also goes through the
+    /// schedule cache once [`EngineCtx::enable_cache`] has run, so a warm
+    /// repeat request re-decomposes nothing and re-schedules nothing.
     pub fn route_general(
         &mut self,
         router: &dyn Router,
         topo: &CstTopology,
         gset: &GeneralCommSet,
-    ) -> Result<GeneralOutcome, CstError> {
-        self.route_general_inner(router, topo, gset, false)
-    }
-
-    /// [`EngineCtx::route_general`] with every layer routed through the
-    /// schedule cache: a warm repeat request re-decomposes nothing and
-    /// re-schedules nothing.
-    pub fn route_general_cached(
-        &mut self,
-        router: &dyn Router,
-        topo: &CstTopology,
-        gset: &GeneralCommSet,
-    ) -> Result<GeneralOutcome, CstError> {
-        self.route_general_inner(router, topo, gset, true)
-    }
-
-    /// Route a slice of general requests, deduplicating whole sets by
-    /// fingerprint (equality-confirmed): each unique set decomposes and
-    /// routes once, duplicates are fanned back out as copies in input
-    /// order — the general-set analogue of [`EngineCtx::route_batch`].
-    pub fn route_general_batch(
-        &mut self,
-        router: &dyn Router,
-        topo: &CstTopology,
-        gsets: &[GeneralCommSet],
-    ) -> Result<Vec<GeneralOutcome>, CstError> {
-        let fps: Vec<u64> = gsets.iter().map(|g| g.fingerprint()).collect();
-        let representative: Vec<usize> = (0..gsets.len())
-            .map(|i| {
-                (0..i)
-                    .find(|&j| fps[j] == fps[i] && gsets[j] == gsets[i])
-                    .unwrap_or(i)
-            })
-            .collect();
-        let mut outcomes: Vec<GeneralOutcome> = Vec::with_capacity(gsets.len());
-        for i in 0..gsets.len() {
-            let rep = representative[i];
-            if rep == i {
-                outcomes.push(self.route_general_cached(router, topo, &gsets[i])?);
-            } else {
-                let t0 = Instant::now();
-                let src = &outcomes[rep];
-                let schedule = self.pool.copy_schedule(&src.schedule);
-                outcomes.push(GeneralOutcome {
-                    schedule,
-                    layer_rounds: src.layer_rounds.clone(),
-                    layer_power_units: src.layer_power_units.clone(),
-                    power: src.power.clone(),
-                    memo_hit: true,
-                    total_ns: t0.elapsed().as_nanos() as u64,
-                    ..*src
-                });
-            }
-        }
-        Ok(outcomes)
-    }
-
-    /// Return a general outcome's recyclable parts (composite schedule,
-    /// accounting vectors) so the next general request reuses their
-    /// allocations — the general-path `recycle`.
-    pub fn recycle_general(&mut self, outcome: GeneralOutcome) {
-        self.pool.put_schedule(outcome.schedule);
-        self.layer_rounds_scratch = outcome.layer_rounds;
-        self.layer_power_scratch = outcome.layer_power_units;
-    }
-
-    /// The decomposition backing the last general request, or — after
-    /// this call — backing `gset` (decomposing it now on a memo miss).
-    /// Lets auditors and tools inspect layers without re-deriving them.
-    pub fn decomposition_for(&mut self, gset: &GeneralCommSet) -> &Decomposition {
-        self.prepare_decomposition(gset);
-        &self.general_memo.as_ref().expect("memo just prepared").decomp
-    }
-
-    /// Ensure the memo holds `gset`'s decomposition; true on a hit.
-    fn prepare_decomposition(&mut self, gset: &GeneralCommSet) -> bool {
-        let fp = gset.fingerprint();
-        if let Some(m) = &self.general_memo {
-            if m.fp == fp && m.set == *gset {
-                return true;
-            }
-        }
-        let decomp = decompose(gset);
-        match &mut self.general_memo {
-            Some(m) => {
-                m.fp = fp;
-                m.set.clone_from_set(gset);
-                m.decomp = decomp;
-            }
-            None => self.general_memo = Some(GeneralMemo { fp, set: gset.clone(), decomp }),
-        }
-        false
-    }
-
-    fn route_general_inner(
-        &mut self,
-        router: &dyn Router,
-        topo: &CstTopology,
-        gset: &GeneralCommSet,
-        cached: bool,
     ) -> Result<GeneralOutcome, CstError> {
         let t0 = Instant::now();
         let memo_hit = self.prepare_decomposition(gset);
@@ -199,12 +100,7 @@ impl EngineCtx {
         let mut failure: Option<CstError> = None;
 
         for (ids, set) in memo.decomp.layers.iter().zip(&memo.decomp.layer_sets) {
-            let routed = if cached {
-                self.route_cached(router, topo, set)
-            } else {
-                self.route(router, topo, set)
-            };
-            let out = match routed {
+            let out = match self.route(router, topo, set) {
                 Ok(out) => out,
                 Err(e) => {
                     failure = Some(e);
@@ -248,6 +144,43 @@ impl EngineCtx {
             memo_hit,
             total_ns: t0.elapsed().as_nanos() as u64,
         })
+    }
+
+    /// Return a general outcome's recyclable parts (composite schedule,
+    /// accounting vectors) so the next general request reuses their
+    /// allocations — the general-path `recycle`.
+    pub fn recycle_general(&mut self, outcome: GeneralOutcome) {
+        self.pool.put_schedule(outcome.schedule);
+        self.layer_rounds_scratch = outcome.layer_rounds;
+        self.layer_power_scratch = outcome.layer_power_units;
+    }
+
+    /// The decomposition backing the last general request, or — after
+    /// this call — backing `gset` (decomposing it now on a memo miss).
+    /// Lets auditors and tools inspect layers without re-deriving them.
+    pub fn decomposition_for(&mut self, gset: &GeneralCommSet) -> &Decomposition {
+        self.prepare_decomposition(gset);
+        &self.general_memo.as_ref().expect("memo just prepared").decomp
+    }
+
+    /// Ensure the memo holds `gset`'s decomposition; true on a hit.
+    fn prepare_decomposition(&mut self, gset: &GeneralCommSet) -> bool {
+        let fp = gset.fingerprint();
+        if let Some(m) = &self.general_memo {
+            if m.fp == fp && m.set == *gset {
+                return true;
+            }
+        }
+        let decomp = decompose(gset);
+        match &mut self.general_memo {
+            Some(m) => {
+                m.fp = fp;
+                m.set.clone_from_set(gset);
+                m.decomp = decomp;
+            }
+            None => self.general_memo = Some(GeneralMemo { fp, set: gset.clone(), decomp }),
+        }
+        false
     }
 }
 
@@ -311,13 +244,13 @@ mod tests {
         let gset = GeneralCommSet::from_pairs(16, &[(0, 8), (4, 12), (2, 10), (1, 3)]);
         let mut ctx = EngineCtx::new();
         ctx.enable_cache(32);
-        let cold = ctx.route_general_cached(&Csa, &topo, &gset).unwrap();
+        let cold = ctx.route_general(&Csa, &topo, &gset).unwrap();
         assert!(!cold.memo_hit);
         assert_eq!(cold.cached_layers, 0);
         let cold_schedule = cold.schedule.clone();
         let cold_power = cold.power.clone();
         ctx.recycle_general(cold);
-        let warm = ctx.route_general_cached(&Csa, &topo, &gset).unwrap();
+        let warm = ctx.route_general(&Csa, &topo, &gset).unwrap();
         assert!(warm.memo_hit, "identical request must reuse the decomposition");
         assert_eq!(warm.cached_layers, warm.num_layers, "every layer hits");
         assert_eq!(warm.schedule, cold_schedule);
@@ -338,26 +271,6 @@ mod tests {
         assert!(!out_b.memo_hit);
         assert_eq!(out_b.num_layers, 1, "disjoint nests share a layer");
         ctx.recycle_general(out_b);
-    }
-
-    #[test]
-    fn batch_dedupes_general_sets() {
-        let topo = CstTopology::with_leaves(8);
-        let a = GeneralCommSet::from_pairs(8, &[(0, 3), (0, 5)]);
-        let b = GeneralCommSet::from_pairs(8, &[(1, 2)]);
-        let sets = vec![a.clone(), b.clone(), a.clone(), b.clone()];
-        let mut ctx = EngineCtx::new();
-        let outs = ctx.route_general_batch(&Csa, &topo, &sets).unwrap();
-        assert_eq!(outs.len(), 4);
-        for (i, rep) in [(2usize, 0usize), (3, 1)] {
-            assert_eq!(outs[i].schedule, outs[rep].schedule);
-            assert_eq!(outs[i].power, outs[rep].power);
-            assert_eq!(outs[i].layer_rounds, outs[rep].layer_rounds);
-            assert!(outs[i].memo_hit);
-        }
-        // Only the two unique sets ever reached the per-layer cache.
-        let stats = ctx.cache_stats().unwrap();
-        assert_eq!(stats.misses as usize, outs[0].num_layers + outs[1].num_layers);
     }
 
     #[test]

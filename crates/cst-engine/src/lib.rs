@@ -36,7 +36,7 @@ pub use cache::{CacheStats, ScheduleCache};
 pub use ctx::{request_fingerprint, EngineCtx, DEFAULT_CACHE_CAPACITY};
 pub use flight::{FlightLease, Joined, SingleFlight};
 pub use shard::ShardedScheduleCache;
-pub use degrade::{route_once_masked, DegradationReport, DroppedComm, ReroutedComm};
+pub use degrade::{DegradationReport, DroppedComm, ReroutedComm};
 pub use general::GeneralOutcome;
 pub use outcome::{PhaseTimings, RouteExtra, RouteOutcome};
 pub use registry::{find, names, registry, route_once, CANONICAL};
@@ -260,9 +260,10 @@ mod tests {
         let topo = CstTopology::with_leaves(16);
         let set = CommSet::from_pairs(16, &[(0, 7), (1, 6), (8, 15)]);
         let mut ctx = EngineCtx::new();
-        let miss = ctx.route_cached(&Csa, &topo, &set).unwrap();
+        ctx.enable_cache(DEFAULT_CACHE_CAPACITY);
+        let miss = ctx.route(&Csa, &topo, &set).unwrap();
         assert!(matches!(miss.extra, RouteExtra::Csa { .. }), "first call is a miss");
-        let hit = ctx.route_cached(&Csa, &topo, &set).unwrap();
+        let hit = ctx.route(&Csa, &topo, &set).unwrap();
         assert_eq!(hit.schedule, miss.schedule);
         assert_eq!(hit.power, miss.power);
         assert_eq!(hit.rounds, miss.rounds);
@@ -277,32 +278,8 @@ mod tests {
         let stats = ctx.cache_stats().unwrap();
         assert_eq!(stats.hits, 1);
         // A different router misses: keys include the router name.
-        let other = ctx.route_cached(&General, &topo, &set).unwrap();
+        let other = ctx.route(&General, &topo, &set).unwrap();
         assert!(!matches!(other.extra, RouteExtra::Cached { .. }));
-    }
-
-    #[test]
-    fn batch_dedupes_and_preserves_order() {
-        let topo = CstTopology::with_leaves(16);
-        let a = CommSet::from_pairs(16, &[(0, 7), (1, 6)]);
-        let b = CommSet::from_pairs(16, &[(8, 15)]);
-        let sets = vec![a.clone(), b.clone(), a.clone(), a.clone(), b.clone()];
-        let mut ctx = EngineCtx::new();
-        let outs = ctx.route_batch(&Csa, &topo, &sets).unwrap();
-        assert_eq!(outs.len(), 5);
-        // Representatives routed, duplicates fanned out as cached copies.
-        assert!(matches!(outs[0].extra, RouteExtra::Csa { .. }));
-        assert!(matches!(outs[1].extra, RouteExtra::Csa { .. }));
-        for i in [2, 3] {
-            assert!(matches!(outs[i].extra, RouteExtra::Cached { .. }), "outs[{i}]");
-            assert_eq!(outs[i].schedule, outs[0].schedule, "outs[{i}]");
-            assert_eq!(outs[i].power, outs[0].power);
-        }
-        assert!(matches!(outs[4].extra, RouteExtra::Cached { .. }));
-        assert_eq!(outs[4].schedule, outs[1].schedule);
-        // The scheduler ran exactly twice (misses), never for duplicates.
-        let stats = ctx.cache_stats().unwrap();
-        assert_eq!(stats.misses, 2);
     }
 
     #[test]
@@ -314,13 +291,14 @@ mod tests {
         let mut mask = FaultMask::empty(&topo);
         assert!(mask.kill_switch(NodeId(4)));
         let mut ctx = EngineCtx::new();
-        let plain = ctx.route_cached(&Csa, &topo, &set).unwrap();
-        let masked = ctx.route_masked_cached(&Csa, &topo, &set, &mask).unwrap();
+        ctx.enable_cache(DEFAULT_CACHE_CAPACITY);
+        let plain = ctx.route(&Csa, &topo, &set).unwrap();
+        let masked = ctx.route_masked(&Csa, &topo, &set, &mask).unwrap();
         assert_ne!(masked.schedule, plain.schedule, "mask dropped comms");
         assert_eq!(masked.degradation.as_ref().unwrap().dropped, 2);
         // Hits on both keys, each byte-faithful to its own mode.
-        let plain2 = ctx.route_cached(&Csa, &topo, &set).unwrap();
-        let masked2 = ctx.route_masked_cached(&Csa, &topo, &set, &mask).unwrap();
+        let plain2 = ctx.route(&Csa, &topo, &set).unwrap();
+        let masked2 = ctx.route_masked(&Csa, &topo, &set, &mask).unwrap();
         assert!(matches!(plain2.extra, RouteExtra::Cached { .. }));
         assert!(matches!(masked2.extra, RouteExtra::Cached { .. }));
         assert_eq!(plain2.schedule, plain.schedule);
@@ -328,90 +306,26 @@ mod tests {
         assert_eq!(masked2.degradation, masked.degradation);
         // Empty mask shares the plain entry and reports fault-free.
         let empty = FaultMask::empty(&topo);
-        let clean = ctx.route_masked_cached(&Csa, &topo, &set, &empty).unwrap();
+        let clean = ctx.route_masked(&Csa, &topo, &set, &empty).unwrap();
         assert!(matches!(clean.extra, RouteExtra::Cached { .. }));
         assert_eq!(clean.schedule, plain.schedule);
         assert!(clean.degradation.unwrap().is_clean());
     }
 
     #[test]
-    fn masked_routing_works_through_the_registry_by_name() {
+    fn masked_routing_works_for_every_canonical_router() {
         let topo = CstTopology::with_leaves(16);
         let set = CommSet::from_pairs(16, &[(0, 7), (1, 6), (8, 15)]);
         let mut mask = FaultMask::empty(&topo);
         assert!(mask.kill_switch(NodeId(4))); // under node 2, over leaves 0..=3
         let mut ctx = EngineCtx::new();
         for name in CANONICAL {
-            let out = ctx.route_named_masked(name, &topo, &set, &mask).unwrap();
+            let router = find(name).unwrap();
+            let out = ctx.route_masked(router.as_ref(), &topo, &set, &mask).unwrap();
             let report = out.degradation.as_ref().unwrap();
             assert_eq!(report.routed + report.dropped, set.len(), "{name}");
             assert_eq!(report.dropped, 2, "{name}");
             ctx.recycle(out);
         }
-        let once = route_once_masked("csa", &topo, &set, &mask).unwrap();
-        assert_eq!(once.degradation.unwrap().dropped, 2);
-    }
-
-    #[test]
-    fn compiled_route_matches_interpreter_with_zero_recompilation() {
-        let topo = CstTopology::with_leaves(16);
-        let set = CommSet::from_pairs(16, &[(0, 7), (1, 6), (2, 5), (8, 15)]);
-        let mut ctx = EngineCtx::new();
-        let (out, sim) = ctx.route_compiled(&Csa, &topo, &set).unwrap();
-        let reference = cst_sim::simulate_schedule(&topo, &set, &out.schedule, None).unwrap();
-        assert_eq!(sim.schedule, reference.schedule);
-        assert_eq!(sim.cycles, reference.cycles);
-        assert_eq!(sim.timings, reference.timings);
-        assert_eq!(sim.deliveries, reference.deliveries);
-        assert_eq!(sim.meter, reference.meter);
-        assert_eq!(ctx.cache_compile_count(), 1);
-        ctx.recycle(out);
-        ctx.recycle_sim(sim);
-        // Repeat requests hit the cache and replay the attached program:
-        // the compile count must not move.
-        for _ in 0..3 {
-            let (out, sim) = ctx.route_compiled(&Csa, &topo, &set).unwrap();
-            assert!(matches!(out.extra, RouteExtra::Cached { .. }));
-            assert_eq!(sim.deliveries, reference.deliveries);
-            assert_eq!(sim.meter, reference.meter);
-            ctx.recycle(out);
-            ctx.recycle_sim(sim);
-        }
-        assert_eq!(ctx.cache_compile_count(), 1, "hits must not recompile");
-    }
-
-    #[test]
-    fn compiled_route_works_masked_and_with_cache_disabled() {
-        let topo = CstTopology::with_leaves(16);
-        let set = CommSet::from_pairs(16, &[(0, 7), (1, 6), (2, 5), (8, 15)]);
-        let mut mask = FaultMask::empty(&topo);
-        // Node 4 roots leaves 0..=3: all three nested comms route through it.
-        assert!(mask.kill_switch(NodeId(4)));
-        let mut ctx = EngineCtx::new();
-        let (out, sim) = ctx.route_masked_compiled(&Csa, &topo, &set, &mask).unwrap();
-        let report = out.degradation.as_ref().unwrap();
-        assert_eq!(report.dropped, 3);
-        assert_eq!(sim.deliveries.len(), report.routed);
-        let reference = cst_sim::simulate_schedule(&topo, &set, &out.schedule, None).unwrap();
-        assert_eq!(sim.deliveries, reference.deliveries);
-        assert_eq!(sim.meter, reference.meter);
-        ctx.recycle(out);
-        ctx.recycle_sim(sim);
-        // Empty mask shares the plain entry, like route_masked_cached.
-        let clean = FaultMask::empty(&topo);
-        let (out, sim) = ctx.route_masked_compiled(&Csa, &topo, &set, &clean).unwrap();
-        assert!(out.degradation.unwrap().is_clean());
-        assert_eq!(sim.deliveries.len(), set.len());
-        ctx.recycle_sim(sim);
-        // Disabled cache falls back to the context-pooled program.
-        let mut ctx = EngineCtx::new();
-        ctx.enable_cache(0);
-        let (out, sim) = ctx.route_compiled(&Csa, &topo, &set).unwrap();
-        let reference = cst_sim::simulate_schedule(&topo, &set, &out.schedule, None).unwrap();
-        assert_eq!(sim.deliveries, reference.deliveries);
-        assert_eq!(sim.meter, reference.meter);
-        assert_eq!(ctx.cache_compile_count(), 0, "disabled cache attaches nothing");
-        ctx.recycle(out);
-        ctx.recycle_sim(sim);
     }
 }

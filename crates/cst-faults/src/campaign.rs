@@ -137,6 +137,13 @@ pub fn run_campaign_with(
     cfg: &CampaignConfig,
     backend: SimBackend,
 ) -> Result<CampaignReport, CstError> {
+    let routers = cfg
+        .routers
+        .iter()
+        .map(|name| {
+            cst_engine::find(name).ok_or_else(|| CstError::UnknownRouter { name: name.clone() })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let mut ctx = EngineCtx::new();
     // Pooled lowering/replay buffers for the compiled backend: one
     // program recompiled per trial, outcomes recycled into the scratch.
@@ -160,8 +167,8 @@ pub fn run_campaign_with(
                 let mut rng = StdRng::seed_from_u64(trial_seed(cfg.seed, size, ri, trial));
                 let set = cst_workloads::well_nested_with_density(&mut rng, size, cfg.density);
                 let mask = sample_mask(&mut rng, &topo, rate);
-                for (i, router) in cfg.routers.iter().enumerate() {
-                    let out = ctx.route_named_masked(router, &topo, &set, &mask)?;
+                for (i, router) in routers.iter().enumerate() {
+                    let out = ctx.route_masked(router.as_ref(), &topo, &set, &mask)?;
                     let report = out.degradation.clone().unwrap_or_default();
                     let cell = &mut row[i];
                     cell.trials += 1;

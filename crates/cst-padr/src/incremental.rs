@@ -18,7 +18,7 @@
 //! allocation-free once warm.
 //!
 //! The result is proven byte-identical (serde) to a from-scratch
-//! [`CsaScratch`] route of the mutated set — see `tests/incremental.rs`
+//! [`CsaScratch`](crate::CsaScratch) route of the mutated set — see `tests/incremental.rs`
 //! and the property tests — because both paths feed identical counters
 //! to the identical round driver.
 //!

@@ -9,7 +9,7 @@
 //! fork/join, and return their connections and activated sources.
 //!
 //! The output is bit-identical to the serial driver
-//! ([`crate::scheduler::schedule`]) — asserted in tests — because both
+//! ([`CsaScratch::schedule`](crate::CsaScratch::schedule)) — asserted in tests — because both
 //! execute the same pure [`crate::switch_logic::step`] in the same
 //! logical order; only the host-side evaluation order of *independent*
 //! subtrees differs.

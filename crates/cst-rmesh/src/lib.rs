@@ -1,6 +1,6 @@
 //! # cst-rmesh — the reconfigurable mesh, the paper's motivating model
 //!
-//! The paper opens: "Models such as the reconfigurable mesh (R-Mesh) [5]
+//! The paper opens: "Models such as the reconfigurable mesh (R-Mesh) \[5\]
 //! provide very fast solutions to many problems ... Changing the
 //! interconnection between processors ... translates to increasing the
 //! power requirements." This crate is that model, built as a reference

@@ -1,5 +1,5 @@
 //! The reconfigurable mesh (R-Mesh) — the paper's motivating model
-//! (reference [5]): a 2D grid of PEs, each with four ports (N, S, E, W)
+//! (reference \[5\]): a 2D grid of PEs, each with four ports (N, S, E, W)
 //! it may partition into connected groups *every step*. Port groups fuse
 //! with neighboring PEs' wires into global buses; a written value is read
 //! by every port on its bus within the step.

@@ -46,7 +46,7 @@ use crate::stats::{ServeCounters, ServeStats};
 use crate::wire::{
     encode_batch_response, encode_error_response, encode_reset_response, encode_route_response,
     encode_stats_response, encode_payload, take_mask, take_set, write_frame, DegradationSummary,
-    ErrorCode, ErrorFrame, ServedItem, REQ_BATCH, REQ_RESET, REQ_ROUTE, REQ_STATS,
+    ErrorCode, ErrorFrame, ServedItem, MAX_WIRE_LEAVES, REQ_BATCH, REQ_RESET, REQ_ROUTE, REQ_STATS,
 };
 use cst_comm::CommSet;
 use cst_core::wire::{WireCursor, WireError};
@@ -230,7 +230,14 @@ impl WorkerCore {
     /// then serve through the shared cache.
     fn dispatch_route(&mut self, mut cur: WireCursor<'_>, out: &mut Vec<u8>) -> Result<(), ErrorFrame> {
         let router = cur.take_str().map_err(bad_frame)?;
-        let num_leaves = cur.take_u64().map_err(bad_frame)? as usize;
+        let num_leaves = cur.take_u64().map_err(bad_frame)?;
+        if num_leaves > MAX_WIRE_LEAVES as u64 {
+            return Err(ErrorFrame {
+                code: ErrorCode::InvalidRequest,
+                message: format!("num_leaves {num_leaves} exceeds the cap of {MAX_WIRE_LEAVES}"),
+            });
+        }
+        let num_leaves = num_leaves as usize;
         let count = cur.take_u32().map_err(bad_frame)? as usize;
         self.pairs.clear();
         for _ in 0..count {
@@ -269,7 +276,7 @@ impl WorkerCore {
     /// tag, mirroring Route), then serve with fingerprint coalescing —
     /// an item identical to an earlier one in the same batch (same set
     /// *and* same mask) shares its payload `Arc` instead of re-probing
-    /// or re-routing (the `route_batch` dedupe, applied at the wire).
+    /// or re-routing.
     fn dispatch_batch(&mut self, mut cur: WireCursor<'_>, out: &mut Vec<u8>) -> Result<(), ErrorFrame> {
         let router = cur.take_str().map_err(bad_frame)?;
         let count = cur.take_u32().map_err(bad_frame)? as usize;

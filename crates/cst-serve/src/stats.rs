@@ -43,7 +43,7 @@ pub struct ServeCounters {
     /// Error frames sent (whole-request and per-batch-item).
     pub errors: AtomicU64,
     /// Batch items served by copying an identical earlier item in the
-    /// same batch (the `route_batch` fingerprint dedupe, at the wire).
+    /// same batch (fingerprint prefilter, full-key equality to confirm).
     pub coalesced: AtomicU64,
     /// Reset frames honored.
     pub resets: AtomicU64,

@@ -95,6 +95,12 @@ pub const STATS_MINOR: u8 = 1;
 /// balloon server memory.
 pub const DEFAULT_MAX_FRAME: usize = 64 << 20;
 
+/// Largest leaf count a request set may declare (2^20 PEs). Set
+/// validation sizes per-leaf scratch from this field before it checks a
+/// single pair, so without the cap a 21-byte frame could demand a
+/// terabyte. Above it, a set is rejected like any other invalid set.
+pub const MAX_WIRE_LEAVES: usize = 1 << 20;
+
 /// Typed error categories carried by error frames (`u16` on the wire so
 /// the space can grow without a format change).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -415,7 +421,11 @@ pub fn encode_request(buf: &mut Vec<u8>, req: &Request) {
 
 /// Decode one set (owned).
 pub fn take_set(cur: &mut WireCursor<'_>) -> Result<CommSet, WireError> {
-    let num_leaves = cur.take_u64()? as usize;
+    let num_leaves = cur.take_u64()?;
+    if num_leaves > MAX_WIRE_LEAVES as u64 {
+        return Err(WireError::Malformed("set num_leaves exceeds MAX_WIRE_LEAVES"));
+    }
+    let num_leaves = num_leaves as usize;
     let count = cur.take_u32()? as usize;
     let mut set = CommSet::empty(0);
     let mut role = Vec::new();

@@ -22,7 +22,7 @@
 //!   and emits one [`DeltaInstr`] per newly-established connection;
 //!   replaying a round is a linear sweep over its instruction span.
 //! * **Flat delivery table.** Each round's transfers are lowered to
-//!   [`DeliveryPlan`] records (comm id, endpoints, expected hop count).
+//!   `DeliveryPlan` records (comm id, endpoints, expected hop count).
 //!   Replay still drives every signal through the flat state — it is an
 //!   execution, not a lookup — and cross-checks the walk against the plan.
 //! * **Precomputed accounting.** The power meter is a pure function of the

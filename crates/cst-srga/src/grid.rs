@@ -1,5 +1,5 @@
 //! The SRGA processing-element grid (Sidhu et al., FPL 2000 — the paper's
-//! reference [7]).
+//! reference \[7\]).
 //!
 //! The Self-Reconfigurable Gate Array is a 2D array of PEs in which every
 //! **row** and every **column** is internally connected by its own circuit

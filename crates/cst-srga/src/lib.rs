@@ -1,7 +1,7 @@
 //! # cst-srga — the Self-Reconfigurable Gate Array substrate
 //!
 //! The architecture the CST comes from (Sidhu et al., FPL 2000 — the
-//! paper's reference [7]): a 2D array of PEs where every row and every
+//! paper's reference \[7\]): a 2D array of PEs where every row and every
 //! column is internally connected by its own circuit switched tree.
 //!
 //! * [`grid`] — the PE grid and its row/column CST topologies;

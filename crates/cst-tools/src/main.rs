@@ -71,8 +71,8 @@
 //! (docs/DECOMP.md): a seeded sweep of `--requests` arbitrary
 //! communication sets (`--workload matching|hotspot|bipartite|mixed`,
 //! `--pes`, `--pairs`, `--seed`) is routed through
-//! `EngineCtx::route_general_cached` with `--router` (default `csa`) per
-//! layer; every composite is audited with the `CST3xx` decomposition
+//! `EngineCtx::route_general` on a cache-enabled context with `--router`
+//! (default `csa`) per layer; every composite is audited with the `CST3xx` decomposition
 //! pass, each sliced layer with the static analyzer and the reference
 //! model's schedule conformance. `--report` prints the machine-readable
 //! JSON summary — layer counts vs. the certificate lower bound, proven-
@@ -527,7 +527,10 @@ struct InjectOutcome {
 fn inject_pattern(pattern: &str, router: &str, args: &[String]) {
     let (topo, set) = parse_pattern(pattern);
     let mask = mask_from_args(args, &topo);
-    let out = match cst_engine::route_once_masked(router, &topo, &set, &mask) {
+    let routed = cst_engine::find(router)
+        .ok_or_else(|| cst_core::CstError::UnknownRouter { name: router.to_string() })
+        .and_then(|r| cst_engine::EngineCtx::new().route_masked(r.as_ref(), &topo, &set, &mask));
+    let out = match routed {
         Ok(out) => out,
         Err(e) => {
             eprintln!("cannot schedule: {e}");
@@ -797,7 +800,7 @@ fn run_decomp_sweep(args: &[String]) {
             "hotspot" => cst_workloads::hotspot(&mut rng, pes, pairs.min(pes - 1)),
             _ => cst_workloads::random_bipartite(&mut rng, pes, pairs.min(pes * pes / 4)),
         };
-        let out = match ctx.route_general_cached(router_box.as_ref(), &topo, &gset) {
+        let out = match ctx.route_general(router_box.as_ref(), &topo, &gset) {
             Ok(out) => out,
             Err(e) => {
                 eprintln!("request {i} ({family}): cannot route: {e}");
@@ -915,6 +918,13 @@ fn run_stream(args: &[String]) {
         .map(|_| cst_workloads::well_nested_with_density(&mut rng, pes, density))
         .collect();
 
+    let Some(router_box) = cst_engine::find(&router) else {
+        eprintln!(
+            "cannot schedule request: {}",
+            cst_core::CstError::UnknownRouter { name: router.clone() }
+        );
+        std::process::exit(1);
+    };
     let mut ctx = cst_engine::EngineCtx::new();
     ctx.enable_cache(cache_cap);
     let mut touched = Vec::new();
@@ -932,7 +942,7 @@ fn run_stream(args: &[String]) {
                 std::process::exit(1);
             }
         }
-        match ctx.route_named_cached(&router, &topo, &sets[idx]) {
+        match ctx.route(router_box.as_ref(), &topo, &sets[idx]) {
             Ok(out) => {
                 total_rounds += out.rounds;
                 total_power_units += out.power.total_units;

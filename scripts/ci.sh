@@ -173,6 +173,12 @@ wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
 echo "serve daemon: deterministic over the wire, matches golden"
 
+echo "== ci: end-to-end benchmark smoke =="
+# examples/cst_bench is a package outside the workspace, so the build
+# above never compiles it: an engine or serve API change that breaks the
+# benchmark only shows up here. 1 s windows, every output audited.
+bash examples/cst_bench/run.sh --smoke
+
 echo "== ci: lint =="
 scripts/lint.sh
 

@@ -6,6 +6,9 @@
 #      falls back to a -D warnings build when clippy is unavailable.
 #   2. unwrap/expect budget over crates/*/src non-test code, checked
 #      against scripts/unwrap_allowlist.txt.
+#   3. rustdoc with -D warnings over every crates/* package, so broken
+#      intra-doc links (renamed or deleted items, bracketed citations
+#      read as links) fail the gate.
 #
 # Exits non-zero on any violation. Run from anywhere; operates on the
 # repository root.
@@ -24,6 +27,15 @@ else
     if ! RUSTFLAGS="-D warnings" cargo build --workspace --all-targets; then
         status=1
     fi
+fi
+
+echo "== lint: rustdoc (-D warnings) =="
+doc_pkgs=()
+for manifest in crates/*/Cargo.toml; do
+    doc_pkgs+=(-p "$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -n 1)")
+done
+if ! RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --quiet "${doc_pkgs[@]}"; then
+    status=1
 fi
 
 echo "== lint: unwrap/expect budget =="

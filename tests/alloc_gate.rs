@@ -55,9 +55,10 @@ fn warm_serial_csa_route_allocates_zero_bytes() {
 
 #[test]
 fn warm_cache_hit_allocates_zero_bytes() {
-    // The streaming guarantee: a schedule-cache hit never touches the
-    // scheduler, and once the pool holds right-sized shells it never
-    // touches the heap either — fingerprint, lookup, copy-out, report
+    // The streaming guarantee: once `enable_cache` has run, a repeated
+    // `route` is a schedule-cache hit that never touches the scheduler,
+    // and once the pool holds right-sized shells it never touches the
+    // heap either — fingerprint, lookup, copy-out, report
     // clone are all allocation-free.
     let n = 1024;
     let topo = CstTopology::with_leaves(n);
@@ -67,17 +68,17 @@ fn warm_cache_hit_allocates_zero_bytes() {
     ctx.enable_cache(16);
 
     // Cold call: a miss — routes, sizes the scratch, inserts the entry.
-    let out = ctx.route_cached(&Csa, &topo, &set).unwrap();
+    let out = ctx.route(&Csa, &topo, &set).unwrap();
     let expected = out.schedule.clone();
     ctx.recycle(out);
 
     // First hit: copies the schedule out through pooled shells, growing
     // them to this request's shape.
-    let out = ctx.route_cached(&Csa, &topo, &set).unwrap();
+    let out = ctx.route(&Csa, &topo, &set).unwrap();
     ctx.recycle(out);
 
     // Warm hit: the guarantee under test.
-    let (warm, out) = alloc_counter::measure(|| ctx.route_cached(&Csa, &topo, &set).unwrap());
+    let (warm, out) = alloc_counter::measure(|| ctx.route(&Csa, &topo, &set).unwrap());
     assert_eq!(out.schedule, expected, "cache hit must return the cached schedule");
     assert!(
         matches!(out.extra, cst::engine::RouteExtra::Cached { .. }),
@@ -213,7 +214,7 @@ fn warm_general_route_hit_allocates_zero_bytes() {
     ctx.enable_cache(64);
 
     // Cold call: decomposes, routes every layer, sizes the scratch.
-    let out = ctx.route_general_cached(&Csa, &topo, &gset).unwrap();
+    let out = ctx.route_general(&Csa, &topo, &gset).unwrap();
     let expected = out.schedule.clone();
     let layers = out.num_layers;
     ctx.recycle_general(out);
@@ -221,13 +222,13 @@ fn warm_general_route_hit_allocates_zero_bytes() {
     // Two settle calls: per-layer cache copies grow the pooled shells
     // to their final shapes.
     for _ in 0..2 {
-        let out = ctx.route_general_cached(&Csa, &topo, &gset).unwrap();
+        let out = ctx.route_general(&Csa, &topo, &gset).unwrap();
         ctx.recycle_general(out);
     }
 
     // Warm call: the guarantee under test.
     let (warm, out) =
-        alloc_counter::measure(|| ctx.route_general_cached(&Csa, &topo, &gset).unwrap());
+        alloc_counter::measure(|| ctx.route_general(&Csa, &topo, &gset).unwrap());
     assert_eq!(out.schedule, expected, "warm layered route must still be correct");
     assert!(out.memo_hit, "warm call must reuse the memoized decomposition");
     assert_eq!(out.cached_layers, layers, "every layer must be served from the cache");

@@ -115,7 +115,8 @@ proptest! {
         let mut ctx = EngineCtx::new();
         let mut scratch = ReplayScratch::new();
         for name in ["csa", "greedy"] {
-            let out = ctx.route_named_masked(name, &topo, &set, &mask).unwrap();
+            let router = cst::engine::find(name).unwrap();
+            let out = ctx.route_masked(router.as_ref(), &topo, &set, &mask).unwrap();
             let report = out.degradation.as_ref().expect("masked route reports");
             let reference = simulate_schedule(&topo, &set, &out.schedule, None).unwrap();
             let prog = CompiledProgram::compile(&topo, &set, &out.schedule).unwrap();
@@ -137,19 +138,25 @@ proptest! {
     }
 }
 
-/// The engine's compiled route entry agrees with the interpreter on the
-/// paper's running example, warm and cold.
+/// A schedule served by a cache-enabled context — cold miss, then warm
+/// hits — lowers and replays identically to the interpreter on the
+/// paper's running example, with the replay buffers pooled across runs.
 #[test]
-fn engine_route_compiled_matches_interpreter() {
+fn cached_route_replays_identically_to_interpreter() {
     let topo = CstTopology::with_leaves(16);
     let set = CommSet::from_pairs(16, &[(0, 7), (1, 6), (2, 5), (8, 15)]);
     let mut ctx = EngineCtx::new();
     ctx.enable_cache(8);
+    let mut scratch = ReplayScratch::new();
+    let payloads = default_payloads(&set);
     for _ in 0..3 {
-        let (out, sim) = ctx.route_compiled(&cst::engine::Csa, &topo, &set).unwrap();
+        let out = ctx.route(&cst::engine::Csa, &topo, &set).unwrap();
         let reference = simulate_schedule(&topo, &set, &out.schedule, None).unwrap();
+        let prog = CompiledProgram::compile(&topo, &set, &out.schedule).unwrap();
+        let sim = prog.replay_with(&mut scratch, &payloads).unwrap();
         assert_eq!(sim, reference);
         ctx.recycle(out);
-        ctx.recycle_sim(sim);
+        scratch.recycle(sim);
     }
+    assert_eq!(ctx.cache_stats().unwrap().hits, 2);
 }

@@ -57,7 +57,8 @@ fn route_and_check(
     router: &str,
     what: &str,
 ) -> usize {
-    let out = ctx.route_named_masked(router, topo, set, mask).unwrap();
+    let routed = ctx.route_masked(cst::engine::find(router).unwrap().as_ref(), topo, set, mask);
+    let out = routed.unwrap();
     let report = out.degradation.as_ref().expect("masked route reports");
     assert_eq!(
         report.routed + report.dropped,
@@ -153,7 +154,7 @@ fn every_single_degraded_edge_reroutes_without_dropping() {
             for child in 2..topo.node_table_len() {
                 let mut mask = FaultMask::empty(&topo);
                 assert!(mask.degrade_edge(NodeId(child)));
-                let out = ctx.route_named_masked("csa", &topo, &set, &mask).unwrap();
+                let out = ctx.route_masked(&cst::engine::Csa, &topo, &set, &mask).unwrap();
                 let report = out.degradation.as_ref().unwrap();
                 // Half-duplex is a capacity fault, never a reachability
                 // fault: nothing may be dropped.
@@ -193,7 +194,7 @@ fn switch_death_dominates_adjacent_link_death() {
         switch_mask.kill_switch(NodeId(sw));
         let switch_drops: Vec<usize> = {
             let out = ctx
-                .route_named_masked("csa", &topo, &set, &switch_mask)
+                .route_masked(&cst::engine::Csa, &topo, &set, &switch_mask)
                 .unwrap();
             let drops = out
                 .degradation
@@ -219,7 +220,7 @@ fn switch_death_dominates_adjacent_link_death() {
             let mut link_mask = FaultMask::empty(&topo);
             link_mask.kill_link(link);
             let out = ctx
-                .route_named_masked("csa", &topo, &set, &link_mask)
+                .route_masked(&cst::engine::Csa, &topo, &set, &link_mask)
                 .unwrap();
             for d in &out.degradation.as_ref().unwrap().drops {
                 assert!(

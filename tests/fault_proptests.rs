@@ -73,7 +73,8 @@ proptest! {
         let mask = sample_mask(&mut StdRng::seed_from_u64(seed), &topo, rate);
         let mut ctx = EngineCtx::new();
         for name in ["csa", "greedy", "roy", "sequential"] {
-            let out = ctx.route_named_masked(name, &topo, &set, &mask).unwrap();
+            let router = cst::engine::find(name).unwrap();
+            let out = ctx.route_masked(router.as_ref(), &topo, &set, &mask).unwrap();
             let report = out.degradation.as_ref().expect("masked route reports");
             prop_assert_eq!(report.total, set.len(), "{}", name);
             prop_assert_eq!(
@@ -119,7 +120,7 @@ proptest! {
         let Some(set) = valid_set(&pattern) else { return Ok(()); };
         let topo = CstTopology::with_leaves(32);
         let mask = sample_mask(&mut StdRng::seed_from_u64(seed), &topo, 1.0);
-        let out = cst::engine::route_once_masked("csa", &topo, &set, &mask).unwrap();
+        let out = EngineCtx::new().route_masked(&cst::engine::Csa, &topo, &set, &mask).unwrap();
         let report = out.degradation.as_ref().unwrap();
         prop_assert_eq!(report.dropped, set.len());
         prop_assert_eq!(report.routed, 0);
@@ -141,7 +142,8 @@ proptest! {
         let mut ctx = EngineCtx::new();
         for name in CANONICAL {
             let plain = ctx.route_named(name, &topo, &set).unwrap();
-            let masked = ctx.route_named_masked(name, &topo, &set, &mask).unwrap();
+            let router = cst::engine::find(name).unwrap();
+            let masked = ctx.route_masked(router.as_ref(), &topo, &set, &mask).unwrap();
             let a = serde_json::to_string(&plain.schedule).unwrap();
             let b = serde_json::to_string(&masked.schedule).unwrap();
             prop_assert_eq!(a, b, "{} schedule drifted under the empty mask", name);

@@ -91,7 +91,7 @@ fn truncated_fingerprints_collide_but_never_cross_schedules() {
     ctx.set_cache_fp_bits(4); // 16 possible keys for 64 distinct sets
     let mut fresh_ctx = EngineCtx::new();
     for (i, set) in sets.iter().enumerate() {
-        let out = ctx.route_cached(&Csa, &topo, set).unwrap();
+        let out = ctx.route(&Csa, &topo, set).unwrap();
         let fresh = fresh_ctx.route(&Csa, &topo, set).unwrap();
         assert_eq!(
             serde_json::to_string(&out.schedule).unwrap(),

@@ -113,12 +113,13 @@ fn cached_and_incremental_paths_agree() {
     let mut session = IncrementalCsa::new(&topo, &set).unwrap();
     let mut pool = SchedulePool::new();
     let mut ctx = EngineCtx::new();
+    ctx.enable_cache(cst::engine::DEFAULT_CACHE_CAPACITY);
     for step in 0..4 {
         let changes = cst::workloads::random_changes(&mut rng, session.set(), 2);
         let inc = session.route_delta(&topo, &changes, &mut pool).unwrap();
         let evolved = session.set().clone();
-        let miss = ctx.route_cached(&cst::engine::Csa, &topo, &evolved).unwrap();
-        let hit = ctx.route_cached(&cst::engine::Csa, &topo, &evolved).unwrap();
+        let miss = ctx.route(&cst::engine::Csa, &topo, &evolved).unwrap();
+        let hit = ctx.route(&cst::engine::Csa, &topo, &evolved).unwrap();
         assert_eq!(bytes(&inc.schedule), bytes(&miss.schedule), "step {step}");
         assert_eq!(bytes(&inc.schedule), bytes(&hit.schedule), "step {step}");
         pool.put_schedule(inc.schedule);

@@ -141,7 +141,8 @@ proptest! {
         let mask = sample_mask(&mut StdRng::seed_from_u64(seed), &topo, rate);
         let mut ctx = EngineCtx::new();
         for name in ["csa", "greedy", "roy"] {
-            let out = ctx.route_named_masked(name, &topo, &set, &mask).unwrap();
+            let router = cst::engine::find(name).unwrap();
+            let out = ctx.route_masked(router.as_ref(), &topo, &set, &mask).unwrap();
             let dropped: Vec<usize> = out
                 .degradation
                 .as_ref()

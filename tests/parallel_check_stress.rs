@@ -104,7 +104,7 @@ fn threaded_outcomes_survive_fault_masks() {
                 );
                 // Serial CSA must agree with the threaded driver under the
                 // same mask — drop partition and rounds alike.
-                let serial = ctx.route_named_masked("csa", &topo, &set, &mask).unwrap();
+                let serial = ctx.route_masked(&cst::engine::Csa, &topo, &set, &mask).unwrap();
                 assert_eq!(serial.schedule, out.schedule, "n={n} seed={seed}");
                 ctx.recycle(serial);
                 ctx.recycle(out);

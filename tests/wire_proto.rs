@@ -14,7 +14,7 @@ use cst::serve::wire::{
     encode_batch_request, encode_batch_response, encode_error_response, encode_payload,
     encode_request, encode_reset_request, encode_route_request, encode_route_response,
     encode_stats_request, encode_stats_response, read_frame, write_frame, DegradationSummary,
-    FrameError, DEFAULT_MAX_FRAME, STATS_MINOR,
+    FrameError, DEFAULT_MAX_FRAME, MAX_WIRE_LEAVES, STATS_MINOR,
 };
 use cst::serve::{ErrorCode, ErrorFrame, Request, Response, ServeConfig, ServeShared, ServeStats, WorkerCore};
 use proptest::prelude::*;
@@ -513,6 +513,47 @@ fn worker_core_answers_hostile_bytes_with_typed_error_frames() {
             other => panic!("case {i}: expected a typed error frame, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn hostile_num_leaves_is_a_typed_error_not_an_abort() {
+    // A set declaring 2^40 leaves and zero pairs: 21 bytes as a Route
+    // frame. Validation scratch is sized by num_leaves, so without the
+    // cap this frame alone would abort the daemon on allocation failure.
+    let huge = 1u64 << 40;
+    let mut route = vec![0x01];
+    route.extend_from_slice(&3u32.to_le_bytes());
+    route.extend_from_slice(b"csa");
+    route.extend_from_slice(&huge.to_le_bytes());
+    route.extend_from_slice(&0u32.to_le_bytes());
+    route.push(0);
+    assert_eq!(route.len(), 21);
+    let mut batch = vec![0x02];
+    batch.extend_from_slice(&3u32.to_le_bytes());
+    batch.extend_from_slice(b"csa");
+    batch.extend_from_slice(&1u32.to_le_bytes());
+    batch.extend_from_slice(&huge.to_le_bytes());
+    batch.extend_from_slice(&0u32.to_le_bytes());
+    batch.push(0);
+
+    let shared = Arc::new(ServeShared::new(ServeConfig::default()));
+    let mut core = WorkerCore::new(shared);
+    let mut out = Vec::new();
+    for (body, code) in [(&route, ErrorCode::InvalidRequest), (&batch, ErrorCode::BadFrame)] {
+        assert!(decode_request(body).is_err(), "the owned decoder rejects it too");
+        core.handle_frame(body, &mut out);
+        match decode_response(&out) {
+            Ok(Response::Error(e)) => assert_eq!(e.code, code, "{}", e.message),
+            other => panic!("expected a typed error frame, got {other:?}"),
+        }
+    }
+    // The cap itself is still a valid size, and the worker keeps serving.
+    let mut buf = Vec::new();
+    encode_route_request(&mut buf, "csa", &CommSet::from_pairs(MAX_WIRE_LEAVES, &[(0, 1)]), None);
+    assert!(matches!(decode_request(&buf), Ok(Request::Route { .. })));
+    encode_route_request(&mut buf, "csa", &sample_set(), None);
+    core.handle_frame(&buf, &mut out);
+    assert!(matches!(decode_response(&out), Ok(Response::Route(_))), "valid frame still served");
 }
 
 proptest! {
