@@ -15,12 +15,17 @@
 //!   plus per-layer schedule-cache hits plus pooled assembly (the
 //!   streaming figure; tests/alloc_gate.rs pins it allocation-free).
 //!
-//! `scripts/bench_smoke.sh` gates the id set and warm-cached ≤
-//! route-layers from the checked-in `BENCH_e14.json`.
+//! Each size also prints `decompose`'s stage split (certificate /
+//! conflict graph / first-fit / DSATUR / iterated greedy / exact /
+//! build) to stderr.
+//!
+//! `scripts/bench_smoke.sh` gates the id set, warm-cached ≤
+//! route-layers, and decompose/4096 ≤ route-layers/4096 from the
+//! checked-in `BENCH_e14.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cst_core::CstTopology;
-use cst_decomp::decompose;
+use cst_decomp::{decompose, decompose_timed, DecompTimings};
 use cst_engine::{Csa, EngineCtx};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,6 +42,12 @@ fn bench_e14(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("decompose", n), &n, |b, _| {
             b.iter(|| std::hint::black_box(decompose(&gset).num_layers()))
         });
+
+        let mut stages = DecompTimings::default();
+        for _ in 0..5 {
+            stages += decompose_timed(&gset).1;
+        }
+        eprintln!("e14 n={n}: decompose stages summed over 5 runs: {stages}");
 
         let mut ctx = EngineCtx::new();
         let out = ctx.route_general(&Csa, &topo, &gset).unwrap();

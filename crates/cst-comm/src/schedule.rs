@@ -114,6 +114,19 @@ impl Schedule {
     }
 }
 
+/// How many times the entries a round shell just held it may keep as
+/// capacity when returned to a [`SchedulePool`] (never below 32).
+const SHELL_SLACK: usize = 4;
+
+/// Clear a returned round shell, trimming capacity beyond the slack.
+fn clear_shell(round: &mut Round) {
+    let keep = |len: usize| (SHELL_SLACK * len).max(32);
+    round.comms.shrink_to(keep(round.comms.len()));
+    round.comms.clear();
+    round.configs.shrink_to(keep(round.configs.len()));
+    round.configs.clear();
+}
+
 /// Recycled building blocks for schedulers that run back to back.
 ///
 /// Rounds keep their `comms` and `configs` capacity, schedules keep their
@@ -125,11 +138,16 @@ impl Schedule {
 /// The round pool is positional: a recycled schedule's rounds are returned
 /// to the *front* of the queue in position order, and takers pop from the
 /// front — so the shell at queue depth `i` always serves round `i` of the
-/// next schedule, and its capacity converges to the largest round ever
-/// built at that position, no matter how request sizes interleave. (A
-/// plain LIFO pool hands the shell of the *last* — typically smallest —
-/// round to the next schedule's *first* — typically largest — round and
-/// re-allocates every request.)
+/// next schedule. (A plain LIFO pool hands the shell of the *last* —
+/// typically smallest — round to the next schedule's *first* — typically
+/// largest — round and re-allocates every request.)
+///
+/// A returned shell keeps at most `SHELL_SLACK` (4) times the entries it
+/// just held. Without that bound each shell's capacity would ratchet up
+/// to the largest round it ever carried, so a long-lived context serving
+/// varied requests would keep growing; with it, pooled memory follows the
+/// recent requests, and repeating a request still finds every shell large
+/// enough.
 #[derive(Debug, Default)]
 pub struct SchedulePool {
     schedules: Vec<Schedule>,
@@ -168,8 +186,7 @@ impl SchedulePool {
     /// the emptied shell joins the schedule pool.
     pub fn put_schedule(&mut self, mut s: Schedule) {
         for mut round in s.rounds.drain(..).rev() {
-            round.comms.clear();
-            round.configs.clear();
+            clear_shell(&mut round);
             self.rounds.push_front(round);
         }
         self.schedules.push(s);
@@ -195,8 +212,7 @@ impl SchedulePool {
 
     /// Return a round for reuse.
     pub fn put_round(&mut self, mut r: Round) {
-        r.comms.clear();
-        r.configs.clear();
+        clear_shell(&mut r);
         self.rounds.push_front(r);
     }
 
@@ -303,6 +319,21 @@ mod tests {
         let b = pool.copy_schedule(&src);
         assert_eq!(b, src);
         b.verify(&topo, &set).unwrap();
+    }
+
+    #[test]
+    fn returned_shells_keep_bounded_slack() {
+        let mut pool = SchedulePool::new();
+        let mut big = pool.take_round();
+        big.comms.extend((0..1000).map(CommId));
+        pool.put_round(big);
+        // Just held 1000 entries: all of that capacity stays for reuse.
+        let mut small = pool.take_round();
+        assert!(small.comms.capacity() >= 1000);
+        small.comms.push(CommId(0));
+        pool.put_round(small);
+        // Just held one entry: the shell gives back all but the floor.
+        assert!(pool.take_round().comms.capacity() <= 32);
     }
 
     #[test]

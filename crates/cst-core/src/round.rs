@@ -125,6 +125,11 @@ impl RoundConfigs {
         self.entries.clear();
     }
 
+    /// Release capacity beyond `min_capacity` entries (`Vec::shrink_to`).
+    pub fn shrink_to(&mut self, min_capacity: usize) {
+        self.entries.shrink_to(min_capacity);
+    }
+
     /// Iterate `(switch, connection)` requirements in deterministic order.
     #[inline]
     pub fn requirements(&self) -> impl Iterator<Item = (NodeId, Connection)> + '_ {

@@ -67,7 +67,12 @@ fn endpoint_clique(set: &GeneralCommSet) -> Certificate {
     Certificate { lower_bound: witness.len(), witness }
 }
 
-/// Anchored LIS sweep over crossing cliques.
+/// Anchored LIS sweep over crossing cliques. The pairs are sorted by
+/// `(l, r)` once; an anchor's candidates (`l_f < l < r_f < r`) are then
+/// the `r > r_f` members of one contiguous `l`-range of that order,
+/// already in the order the LIS walks them. Each anchor first measures
+/// its chain length alone; only an anchor that beats the best so far
+/// walks the range again to recover the chain.
 fn crossing_clique(set: &GeneralCommSet) -> Certificate {
     let pairs = set.pairs();
     let m = pairs.len();
@@ -79,57 +84,57 @@ fn crossing_clique(set: &GeneralCommSet) -> Certificate {
         });
         anchors.truncate(CHEAP_BOUND_ANCHORS);
     }
+    // Pairs are distinct, so `(l, r)` orders them totally.
+    let mut by_left: Vec<usize> = (0..m).collect();
+    by_left.sort_unstable_by_key(|&i| (pairs[i].0 .0, pairs[i].1 .0));
+    let ls: Vec<usize> = by_left.iter().map(|&i| pairs[i].0 .0).collect();
+    let rs: Vec<usize> = by_left.iter().map(|&i| pairs[i].1 .0).collect();
 
     let mut best = Certificate::default();
-    // Reused across anchors: candidates as (l, r, id), then LIS tables.
-    let mut cands: Vec<(usize, usize, usize)> = Vec::new();
-    let mut tails: Vec<usize> = Vec::new(); // index into cands of chain tail per length
-    let mut parent: Vec<usize> = Vec::new();
+    let mut tails: Vec<usize> = Vec::new(); // r of the chain tail per length
     for &f in &anchors {
         let (lf, rf) = (pairs[f].0 .0, pairs[f].1 .0);
-        cands.clear();
-        for (i, &(s, d)) in pairs.iter().enumerate() {
-            let (l, r) = (s.0, d.0);
-            if lf < l && l < rf && rf < r {
-                cands.push((l, r, i));
-            }
-        }
-        if cands.len() < best.lower_bound {
-            continue; // even the full candidate set (plus the anchor) can't beat the best
-        }
-        cands.sort_unstable();
+        let range = ls.partition_point(|&l| l <= lf)..ls.partition_point(|&l| l < rf);
         // Longest strictly-increasing subsequence in r (patience sorting).
         tails.clear();
-        parent.clear();
-        parent.resize(cands.len(), usize::MAX);
-        for (ci, &(_, r, _)) in cands.iter().enumerate() {
+        for &r in rs[range.clone()].iter().filter(|&&r| rf < r) {
             // First tail whose r >= this r gets replaced.
-            let pos = tails.partition_point(|&t| cands[t].1 < r);
-            parent[ci] = if pos > 0 { tails[pos - 1] } else { usize::MAX };
+            let pos = tails.partition_point(|&t| t < r);
             if pos == tails.len() {
-                tails.push(ci);
+                tails.push(r);
             } else {
-                tails[pos] = ci;
+                tails[pos] = r;
             }
         }
         if 1 + tails.len() > best.lower_bound {
-            let mut witness = Vec::with_capacity(1 + tails.len());
-            witness.push(f);
-            if let Some(&last) = tails.last() {
-                let mut at = last;
-                loop {
-                    witness.push(cands[at].2);
-                    if parent[at] == usize::MAX {
-                        break;
-                    }
-                    at = parent[at];
-                }
-                witness[1..].reverse();
-            }
-            best = Certificate { lower_bound: witness.len(), witness };
+            best = anchored_chain(f, rf, &by_left[range.clone()], &rs[range]);
         }
     }
     best
+}
+
+/// The same patience sort over one anchor's range, keeping parent links
+/// to recover the chain: `ids[k]` is the pair with right endpoint `rs[k]`.
+fn anchored_chain(f: usize, rf: usize, ids: &[usize], rs: &[usize]) -> Certificate {
+    let mut tails: Vec<(usize, usize)> = Vec::new(); // (r, k) of the chain tail per length
+    let mut parent = vec![usize::MAX; rs.len()];
+    for (k, &r) in rs.iter().enumerate().filter(|&(_, &r)| rf < r) {
+        let pos = tails.partition_point(|&(t, _)| t < r);
+        parent[k] = if pos > 0 { tails[pos - 1].1 } else { usize::MAX };
+        if pos == tails.len() {
+            tails.push((r, k));
+        } else {
+            tails[pos] = (r, k);
+        }
+    }
+    let mut witness = vec![f];
+    let mut at = tails.last().map_or(usize::MAX, |&(_, k)| k);
+    while at != usize::MAX {
+        witness.push(ids[at]);
+        at = parent[at];
+    }
+    witness[1..].reverse();
+    Certificate { lower_bound: witness.len(), witness }
 }
 
 #[cfg(test)]

@@ -1,16 +1,18 @@
 //! Layer assignment: coloring the conflict graph.
 
 use crate::certificate::{certificate, Certificate};
+use crate::graph::{ones, ConflictGraph, DENSE_LIMIT};
 use cst_comm::{CommSet, Communication};
-use cst_core::{pairs_conflict, GeneralCommSet, LeafId};
+use cst_core::GeneralCommSet;
+use std::time::Instant;
 
 /// At or below this many pairs, branch-and-bound settles the exact
 /// chromatic number — the oracle proptests compare against brute force
 /// in this regime, so the result must be provably minimal, not greedy.
 pub const EXACT_LIMIT: usize = 16;
 
-/// Up to this many pairs, DSATUR runs in addition to the first-fit
-/// orders (it needs the full adjacency matrix, O(m²) bits).
+/// Up to this many pairs, DSATUR and iterated greedy run after the two
+/// first-fit orders; above it only the first-fit orders run.
 pub const DSATUR_LIMIT: usize = 2048;
 
 /// Up to this many pairs, the crossing-clique certificate sweeps every
@@ -50,74 +52,195 @@ impl Decomposition {
     }
 }
 
+/// Wall-clock split of one [`decompose_timed`] call, in nanoseconds.
+/// A stage that did not run reads 0: DSATUR and iterated greedy above
+/// [`DSATUR_LIMIT`], the exact search above [`EXACT_LIMIT`] or once a
+/// greedy coloring met the bound.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DecompTimings {
+    /// The lower-bound certificate ([`certificate()`]).
+    pub certificate_ns: u64,
+    /// Building the conflict bitset and the degrees.
+    pub graph_ns: u64,
+    /// First-fit in outermost-first and conflict-degree order.
+    pub first_fit_ns: u64,
+    /// DSATUR.
+    pub dsatur_ns: u64,
+    /// Iterated greedy.
+    pub iterated_greedy_ns: u64,
+    /// Exact branch-and-bound refinement.
+    pub exact_ns: u64,
+    /// Compacting layer ids and building the per-layer `CommSet`s.
+    pub build_ns: u64,
+}
+
+impl DecompTimings {
+    /// Each stage's name and time, in pipeline order.
+    pub fn stages(&self) -> [(&'static str, u64); 7] {
+        [
+            ("certificate", self.certificate_ns),
+            ("graph", self.graph_ns),
+            ("first-fit", self.first_fit_ns),
+            ("dsatur", self.dsatur_ns),
+            ("iterated-greedy", self.iterated_greedy_ns),
+            ("exact", self.exact_ns),
+            ("build", self.build_ns),
+        ]
+    }
+
+    /// Sum of every stage.
+    pub fn total_ns(&self) -> u64 {
+        self.stages().iter().map(|&(_, ns)| ns).sum()
+    }
+}
+
+impl std::ops::AddAssign for DecompTimings {
+    fn add_assign(&mut self, other: Self) {
+        self.certificate_ns += other.certificate_ns;
+        self.graph_ns += other.graph_ns;
+        self.first_fit_ns += other.first_fit_ns;
+        self.dsatur_ns += other.dsatur_ns;
+        self.iterated_greedy_ns += other.iterated_greedy_ns;
+        self.exact_ns += other.exact_ns;
+        self.build_ns += other.build_ns;
+    }
+}
+
+/// `certificate 1003 us, graph 83 us, ..., total 1884 us`.
+impl std::fmt::Display for DecompTimings {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (name, ns) in self.stages() {
+            write!(f, "{name} {} us, ", ns / 1000)?;
+        }
+        write!(f, "total {} us", self.total_ns() / 1000)
+    }
+}
+
 /// Split `set` into well-nested layers. See the crate docs for the
 /// algorithm; the result is deterministic for a given input.
 pub fn decompose(set: &GeneralCommSet) -> Decomposition {
+    decompose_timed(set).0
+}
+
+/// [`decompose`], also reporting where the time went.
+pub fn decompose_timed(set: &GeneralCommSet) -> (Decomposition, DecompTimings) {
+    decompose_with(set, DENSE_LIMIT)
+}
+
+fn decompose_with(set: &GeneralCommSet, dense_limit: usize) -> (Decomposition, DecompTimings) {
     let pairs = set.pairs();
     let m = pairs.len();
-    let cert = certificate(set);
+    let mut timings = DecompTimings::default();
+    let mut clock = Instant::now();
+    let mut lap = |stage: &mut u64| {
+        let now = Instant::now();
+        *stage = (now - clock).as_nanos() as u64;
+        clock = now;
+    };
 
-    // Candidate orders for first-fit.
+    let cert = certificate(set);
+    lap(&mut timings.certificate_ns);
+    let mut graph = ConflictGraph::new(pairs, dense_limit);
+    lap(&mut timings.graph_ns);
+
+    // Candidate orders for first-fit; one layer scratch serves every
+    // first-fit pass.
+    let mut hoods = LayerNeighborhoods::default();
     let mut outermost: Vec<usize> = (0..m).collect();
     outermost.sort_unstable_by_key(|&i| (pairs[i].0 .0, usize::MAX - pairs[i].1 .0));
-    let mut best = first_fit(pairs, &outermost);
-
-    let mut degree = vec![0usize; m];
-    for i in 0..m {
-        for j in i + 1..m {
-            if pairs_conflict(pairs[i], pairs[j]) {
-                degree[i] += 1;
-                degree[j] += 1;
-            }
-        }
-    }
+    let mut best = first_fit(&mut graph, &outermost, &mut hoods);
     let mut by_degree = outermost;
-    by_degree.sort_by_key(|&i| usize::MAX - degree[i]); // stable: ties stay outermost-first
-    let tried = first_fit(pairs, &by_degree);
+    by_degree.sort_by_key(|&i| usize::MAX - graph.degree()[i]); // stable: ties stay outermost-first
+    let tried = first_fit(&mut graph, &by_degree, &mut hoods);
     if count_layers(&tried) < count_layers(&best) {
         best = tried;
     }
+    lap(&mut timings.first_fit_ns);
 
     if m <= DSATUR_LIMIT {
-        let tried = dsatur(pairs, &degree);
+        let tried = dsatur(&mut graph);
         if count_layers(&tried) < count_layers(&best) {
             best = tried;
         }
-        best = iterated_greedy(pairs, best, cert.lower_bound);
+        lap(&mut timings.dsatur_ns);
+        best = iterated_greedy(&mut graph, &mut hoods, best, cert.lower_bound);
+        lap(&mut timings.iterated_greedy_ns);
     }
 
     let mut proven = count_layers(&best) == cert.lower_bound;
     if !proven && m <= EXACT_LIMIT {
-        let (exact, exact_proven) = exact_refine(pairs, cert.lower_bound, best);
+        let (exact, exact_proven) = exact_refine(&mut graph, cert.lower_bound, best);
         best = exact;
         proven = exact_proven || count_layers(&best) == cert.lower_bound;
+        lap(&mut timings.exact_ns);
     }
 
-    build(set, best, cert, proven)
+    let decomposition = build(set, best, cert, proven);
+    lap(&mut timings.build_ns);
+    (decomposition, timings)
 }
 
 fn count_layers(layer_of: &[usize]) -> usize {
     layer_of.iter().map(|&l| l + 1).max().unwrap_or(0)
 }
 
-/// First-fit coloring in the given placement order.
-fn first_fit(pairs: &[(LeafId, LeafId)], order: &[usize]) -> Vec<usize> {
-    let mut layer_of = vec![usize::MAX; pairs.len()];
-    let mut layers: Vec<Vec<usize>> = Vec::new();
+/// One bitset per open layer: the union of its members' conflict rows,
+/// that is, every vertex that conflicts with some member. Conflicts are
+/// symmetric, so vertex `i` fits layer `l` iff bit `i` of layer `l`'s
+/// set is clear — one bit test per layer — and placing a vertex ORs its
+/// row into its layer's set a word at a time.
+#[derive(Default)]
+struct LayerNeighborhoods {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl LayerNeighborhoods {
+    /// Drop every layer; rows now have `words` words.
+    fn reset(&mut self, words: usize) {
+        self.words = words;
+        self.bits.clear();
+    }
+
+    fn count(&self) -> usize {
+        self.bits.len().checked_div(self.words).unwrap_or(0)
+    }
+
+    /// The lowest layer vertex `i` fits, opening an empty one if none.
+    fn fit(&mut self, i: usize) -> usize {
+        let bit = 1u64 << (i % 64);
+        let words = self.words;
+        let found = self.bits.chunks_exact(words).position(|set| set[i / 64] & bit == 0);
+        found.unwrap_or_else(|| {
+            self.bits.resize(self.bits.len() + words, 0);
+            self.count() - 1
+        })
+    }
+
+    fn layer(&self, l: usize) -> &[u64] {
+        &self.bits[l * self.words..(l + 1) * self.words]
+    }
+
+    /// Record a member with conflict row `row` in layer `l`.
+    fn add(&mut self, l: usize, row: &[u64]) {
+        let set = &mut self.bits[l * self.words..(l + 1) * self.words];
+        set.iter_mut().zip(row).for_each(|(s, r)| *s |= r);
+    }
+}
+
+/// First-fit coloring in the given placement order: each vertex joins
+/// the lowest layer it does not conflict with.
+fn first_fit(
+    graph: &mut ConflictGraph,
+    order: &[usize],
+    hoods: &mut LayerNeighborhoods,
+) -> Vec<usize> {
+    hoods.reset(graph.words());
+    let mut layer_of = vec![usize::MAX; graph.len()];
     for &i in order {
-        let found = layers.iter().position(|members| {
-            members.iter().all(|&j| !pairs_conflict(pairs[i], pairs[j]))
-        });
-        match found {
-            Some(li) => {
-                layers[li].push(i);
-                layer_of[i] = li;
-            }
-            None => {
-                layer_of[i] = layers.len();
-                layers.push(vec![i]);
-            }
-        }
+        let layer = hoods.fit(i);
+        hoods.add(layer, graph.row(i));
+        layer_of[i] = layer;
     }
     layer_of
 }
@@ -130,36 +253,51 @@ fn first_fit(pairs: &[(LeafId, LeafId)], order: &[usize]) -> Vec<usize> {
 /// so the shuffles can escape local optima. Fully deterministic: the
 /// shuffle runs on a fixed-seed xorshift.
 fn iterated_greedy(
-    pairs: &[(LeafId, LeafId)],
+    graph: &mut ConflictGraph,
+    hoods: &mut LayerNeighborhoods,
     mut best: Vec<usize>,
     lower_bound: usize,
 ) -> Vec<usize> {
-    let rounds = if pairs.len() <= 256 { 64 } else { 16 };
+    let m = graph.len();
+    let rounds = if m <= 256 { 64 } else { 16 };
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut order = vec![0usize; m];
     for round in 0..rounds {
         let k = count_layers(&best);
         if k <= lower_bound.max(1) {
             break; // already provably minimal
         }
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (i, &l) in best.iter().enumerate() {
-            groups[l].push(i);
+        let mut size = vec![0usize; k];
+        for &l in &best {
+            size[l] += 1;
         }
+        // The block order: a permutation of the layers.
+        let mut blocks: Vec<usize> = (0..k).collect();
         match round % 3 {
-            0 => groups.reverse(),
-            1 => groups.sort_by_key(|g| usize::MAX - g.len()),
+            0 => blocks.reverse(),
+            1 => blocks.sort_by_key(|&l| usize::MAX - size[l]),
             _ => {
-                for i in (1..groups.len()).rev() {
+                for i in (1..blocks.len()).rev() {
                     state ^= state << 13;
                     state ^= state >> 7;
                     state ^= state << 17;
                     let j = (state % (i as u64 + 1)) as usize;
-                    groups.swap(i, j);
+                    blocks.swap(i, j);
                 }
             }
         }
-        let order: Vec<usize> = groups.into_iter().flatten().collect();
-        let tried = first_fit(pairs, &order);
+        // Counting sort: blocks in that order, ids ascending within one.
+        let mut next = vec![0usize; k];
+        let mut at = 0;
+        for &l in &blocks {
+            next[l] = at;
+            at += size[l];
+        }
+        for (i, &l) in best.iter().enumerate() {
+            order[next[l]] = i;
+            next[l] += 1;
+        }
+        let tried = first_fit(graph, &order, hoods);
         if count_layers(&tried) <= count_layers(&best) {
             best = tried;
         }
@@ -169,51 +307,72 @@ fn iterated_greedy(
 
 /// DSATUR: repeatedly color the vertex whose neighbors already use the
 /// most distinct colors (ties: higher conflict degree, then lower id).
-fn dsatur(pairs: &[(LeafId, LeafId)], degree: &[usize]) -> Vec<usize> {
-    let m = pairs.len();
-    let words = m.div_ceil(64);
-    let mut adj = vec![0u64; m * words];
-    for i in 0..m {
-        for j in i + 1..m {
-            if pairs_conflict(pairs[i], pairs[j]) {
-                adj[i * words + j / 64] |= 1 << (j % 64);
-                adj[j * words + i / 64] |= 1 << (i % 64);
-            }
-        }
+///
+/// Vertices are ranked once by that tie order, and each saturation
+/// level keeps a rank-indexed bitset of its uncolored vertices, so the
+/// next vertex is the first set bit of the highest non-empty level.
+/// Colors are [`LayerNeighborhoods`]: the vertex takes the lowest color
+/// it fits, and coloring `v` with `c` raises the saturation of exactly
+/// `row(v) AND uncolored AND NOT neighborhood(c)`.
+fn dsatur(graph: &mut ConflictGraph) -> Vec<usize> {
+    let m = graph.len();
+    let words = graph.words();
+    let degree = graph.degree();
+    let mut by_rank: Vec<usize> = (0..m).collect();
+    by_rank.sort_unstable_by_key(|&v| (usize::MAX - degree[v], v));
+    let mut rank = vec![0usize; m];
+    for (r, &v) in by_rank.iter().enumerate() {
+        rank[v] = r;
     }
-    let mut layer_of = vec![usize::MAX; m];
-    // Per-vertex neighbor-color sets as growable bitsets.
-    let mut sat: Vec<Vec<u64>> = vec![Vec::new(); m];
+
+    let mut all = vec![u64::MAX; words];
+    if !m.is_multiple_of(64) {
+        all[words - 1] = (1u64 << (m % 64)) - 1;
+    }
+    let mut uncolored = all.clone();
+    // `levels[s * words ..][r]`: the rank-`r` vertex is uncolored with
+    // saturation `s`. Every vertex starts at level 0.
+    let mut levels = all;
+    let mut top = 0;
     let mut sat_count = vec![0usize; m];
+    let mut colors = LayerNeighborhoods::default();
+    colors.reset(words);
+    let mut layer_of = vec![usize::MAX; m];
     for _ in 0..m {
-        let v = (0..m)
-            .filter(|&v| layer_of[v] == usize::MAX)
-            .max_by_key(|&v| (sat_count[v], degree[v], m - v))
-            .expect("an uncolored vertex remains");
-        // Smallest color absent from sat[v].
-        let mut color = sat[v].len() * 64;
-        'scan: for (w, &bits) in sat[v].iter().enumerate() {
-            if bits != u64::MAX {
-                color = w * 64 + bits.trailing_ones() as usize;
-                break 'scan;
+        // `top` bounds the highest non-empty level; an uncolored vertex
+        // remains, so some level at or below it is non-empty.
+        let r = loop {
+            match ones(levels[top * words..(top + 1) * words].iter().copied()).next() {
+                Some(r) => break r,
+                None => top -= 1,
             }
-        }
+        };
+        let v = by_rank[r];
+        levels[top * words + r / 64] &= !(1 << (r % 64));
+        uncolored[v / 64] &= !(1 << (v % 64));
+
+        let color = colors.fit(v);
         layer_of[v] = color;
-        for u in 0..m {
-            if layer_of[u] == usize::MAX && adj[v * words + u / 64] >> (u % 64) & 1 == 1 {
-                let s = &mut sat[u];
-                if s.len() <= color / 64 {
-                    s.resize(color / 64 + 1, 0);
-                }
-                if s[color / 64] >> (color % 64) & 1 == 0 {
-                    s[color / 64] |= 1 << (color % 64);
-                    sat_count[u] += 1;
-                }
+        let row = graph.row(v);
+        let raised =
+            row.iter().zip(&uncolored).zip(colors.layer(color)).map(|((r, u), c)| r & u & !c);
+        for u in ones(raised) {
+            let (s, ru) = (sat_count[u], rank[u]);
+            sat_count[u] = s + 1;
+            if levels.len() == (s + 1) * words {
+                levels.resize(levels.len() + words, 0);
             }
+            levels[s * words + ru / 64] &= !(1 << (ru % 64));
+            levels[(s + 1) * words + ru / 64] |= 1 << (ru % 64);
+            top = top.max(s + 1);
         }
+        colors.add(color, row);
     }
     layer_of
 }
+
+// The exact search keeps each vertex's neighborhood in one word.
+const _: () = assert!(EXACT_LIMIT <= 64);
 
 /// Iterative-deepening exact coloring: try every count from the bound up
 /// to one below the incumbent; the first success is the chromatic
@@ -221,27 +380,20 @@ fn dsatur(pairs: &[(LeafId, LeafId)], degree: &[usize]) -> Vec<usize> {
 /// run at `m <= EXACT_LIMIT`. Returns the best coloring and whether
 /// minimality was proven.
 fn exact_refine(
-    pairs: &[(LeafId, LeafId)],
+    graph: &mut ConflictGraph,
     lower_bound: usize,
     incumbent: Vec<usize>,
 ) -> (Vec<usize>, bool) {
-    let m = pairs.len();
+    let m = graph.len();
     let ub = count_layers(&incumbent);
+    let adj: Vec<u64> = (0..m).map(|i| graph.row(i)[0]).collect();
+    let degree = graph.degree();
     let mut order: Vec<usize> = (0..m).collect();
     // Most-constrained-first keeps the search shallow.
-    let mut degree = vec![0usize; m];
-    for i in 0..m {
-        for j in i + 1..m {
-            if pairs_conflict(pairs[i], pairs[j]) {
-                degree[i] += 1;
-                degree[j] += 1;
-            }
-        }
-    }
     order.sort_unstable_by_key(|&i| (usize::MAX - degree[i], i));
     for k in lower_bound.max(1)..ub {
         let mut colors = vec![usize::MAX; m];
-        if try_color(pairs, &order, 0, k, &mut colors) {
+        if try_color(&adj, &order, 0, k, &mut colors) {
             return (colors, true);
         }
     }
@@ -249,25 +401,17 @@ fn exact_refine(
     (incumbent, true)
 }
 
-fn try_color(
-    pairs: &[(LeafId, LeafId)],
-    order: &[usize],
-    depth: usize,
-    k: usize,
-    colors: &mut [usize],
-) -> bool {
+fn try_color(adj: &[u64], order: &[usize], depth: usize, k: usize, colors: &mut [usize]) -> bool {
     let Some(&v) = order.get(depth) else {
         return true;
     };
     // Symmetry break: a fresh color's index is forced.
     let used = order[..depth].iter().map(|&u| colors[u] + 1).max().unwrap_or(0);
     for c in 0..k.min(used + 1) {
-        let ok = order[..depth]
-            .iter()
-            .all(|&u| colors[u] != c || !pairs_conflict(pairs[v], pairs[u]));
+        let ok = order[..depth].iter().all(|&u| colors[u] != c || adj[v] >> u & 1 == 0);
         if ok {
             colors[v] = c;
-            if try_color(pairs, order, depth + 1, k, colors) {
+            if try_color(adj, order, depth + 1, k, colors) {
                 return true;
             }
             colors[v] = usize::MAX;
@@ -415,6 +559,31 @@ mod tests {
         assert_eq!(d.lower_bound, 2, "clique bound of C5 is 2");
         assert!(d.proven_optimal, "exact search proves 3 minimal");
         check_valid(&set, &d);
+    }
+
+    #[test]
+    fn on_demand_rows_decompose_identically() {
+        // Past the dense limit the graph keeps one row and recomputes it;
+        // the layering, certificate and verdict must not notice.
+        let mut raw: Vec<(usize, usize)> = (0..40).map(|i| (i, (i * 37 + 11) % 97 + 40)).collect();
+        raw.extend([(3, 5), (3, 9), (20, 90)]);
+        let set = GeneralCommSet::from_pairs(160, &raw);
+        let (dense, _) = decompose_with(&set, DENSE_LIMIT);
+        let (lazy, _) = decompose_with(&set, 0);
+        assert_eq!(dense.layer_of, lazy.layer_of);
+        assert_eq!(dense.witness, lazy.witness);
+        assert_eq!(dense.proven_optimal, lazy.proven_optimal);
+        check_valid(&set, &lazy);
+    }
+
+    #[test]
+    fn timings_cover_exactly_the_stages_that_ran() {
+        // A hotspot meets its endpoint bound greedily: no exact search.
+        let hub = GeneralCommSet::from_pairs(8, &[(4, 0), (4, 1), (4, 2), (4, 3)]);
+        assert_eq!(decompose_timed(&hub).1.exact_ns, 0);
+        // C5 needs the exact search to prove 3 layers.
+        let c5 = GeneralCommSet::from_pairs(8, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
+        assert!(decompose_timed(&c5).1.exact_ns > 0);
     }
 
     #[test]

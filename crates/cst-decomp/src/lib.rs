@@ -16,9 +16,13 @@
 //! generalization of interval coloring, NP-hard in general. The
 //! algorithm ([`decompose`]):
 //!
+//! 0. **Conflict bitset**: the graph is built once, one `u64` row per
+//!    pair (stored up to [`DENSE_LIMIT`] pairs, recomputed per use
+//!    above), and every coloring pass below reads it.
 //! 1. **Greedy coloring**: first-fit in outermost-first and
-//!    conflict-degree order, plus DSATUR below [`DSATUR_LIMIT`]; the
-//!    best result wins.
+//!    conflict-degree order (each layer a member bitset, probed with a
+//!    word-wise `AND` against the vertex's row), plus DSATUR and
+//!    iterated greedy below [`DSATUR_LIMIT`]; the best result wins.
 //! 2. **Lower-bound certificate**: the max over endpoint multiplicity
 //!    cliques and mutually-crossing cliques (anchored longest-increasing-
 //!    subsequence sweep, exact over all anchors below
@@ -36,8 +40,13 @@
 
 mod assemble;
 mod certificate;
+mod graph;
 mod layering;
 
 pub use assemble::{append_layer, slice_layer};
 pub use certificate::{certificate, Certificate};
-pub use layering::{decompose, Decomposition, DSATUR_LIMIT, EXACT_LIMIT, STRONG_BOUND_LIMIT};
+pub use graph::DENSE_LIMIT;
+pub use layering::{
+    decompose, decompose_timed, DecompTimings, Decomposition, DSATUR_LIMIT, EXACT_LIMIT,
+    STRONG_BOUND_LIMIT,
+};

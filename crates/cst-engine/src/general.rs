@@ -24,7 +24,7 @@ use crate::outcome::RouteExtra;
 use crate::router::Router;
 use cst_comm::Schedule;
 use cst_core::{CstError, CstTopology, GeneralCommSet, PowerReport};
-use cst_decomp::{decompose, Decomposition};
+use cst_decomp::{decompose_timed, DecompTimings, Decomposition};
 use std::time::Instant;
 
 /// Memoized decomposition of the last general request (fingerprint
@@ -69,6 +69,8 @@ pub struct GeneralOutcome {
     pub cached_layers: usize,
     /// The decomposition itself came from the context memo.
     pub memo_hit: bool,
+    /// Where the decomposition's time went; all zero on a memo hit.
+    pub decomp_timings: DecompTimings,
     /// End-to-end wall-clock nanoseconds of this request.
     pub total_ns: u64,
 }
@@ -86,7 +88,7 @@ impl EngineCtx {
         gset: &GeneralCommSet,
     ) -> Result<GeneralOutcome, CstError> {
         let t0 = Instant::now();
-        let memo_hit = self.prepare_decomposition(gset);
+        let decomp_timings = self.prepare_decomposition(gset);
         // Take the memo out so its decomposition can be borrowed while
         // `&mut self` routes the layers (pure move — no allocation).
         let memo = self.general_memo.take().expect("memo just prepared");
@@ -141,7 +143,8 @@ impl EngineCtx {
             layer_rounds,
             layer_power_units: layer_power,
             cached_layers,
-            memo_hit,
+            memo_hit: decomp_timings.is_none(),
+            decomp_timings: decomp_timings.unwrap_or_default(),
             total_ns: t0.elapsed().as_nanos() as u64,
         })
     }
@@ -163,15 +166,16 @@ impl EngineCtx {
         &self.general_memo.as_ref().expect("memo just prepared").decomp
     }
 
-    /// Ensure the memo holds `gset`'s decomposition; true on a hit.
-    fn prepare_decomposition(&mut self, gset: &GeneralCommSet) -> bool {
+    /// Ensure the memo holds `gset`'s decomposition: `None` on a hit,
+    /// the stage timings of the fresh decomposition on a miss.
+    fn prepare_decomposition(&mut self, gset: &GeneralCommSet) -> Option<DecompTimings> {
         let fp = gset.fingerprint();
         if let Some(m) = &self.general_memo {
             if m.fp == fp && m.set == *gset {
-                return true;
+                return None;
             }
         }
-        let decomp = decompose(gset);
+        let (decomp, timings) = decompose_timed(gset);
         match &mut self.general_memo {
             Some(m) => {
                 m.fp = fp;
@@ -180,7 +184,7 @@ impl EngineCtx {
             }
             None => self.general_memo = Some(GeneralMemo { fp, set: gset.clone(), decomp }),
         }
-        false
+        Some(timings)
     }
 }
 
@@ -246,12 +250,14 @@ mod tests {
         ctx.enable_cache(32);
         let cold = ctx.route_general(&Csa, &topo, &gset).unwrap();
         assert!(!cold.memo_hit);
+        assert!(cold.decomp_timings.total_ns() > 0, "a fresh decomposition is timed");
         assert_eq!(cold.cached_layers, 0);
         let cold_schedule = cold.schedule.clone();
         let cold_power = cold.power.clone();
         ctx.recycle_general(cold);
         let warm = ctx.route_general(&Csa, &topo, &gset).unwrap();
         assert!(warm.memo_hit, "identical request must reuse the decomposition");
+        assert_eq!(warm.decomp_timings, DecompTimings::default(), "a memo hit decomposes nothing");
         assert_eq!(warm.cached_layers, warm.num_layers, "every layer hits");
         assert_eq!(warm.schedule, cold_schedule);
         assert_eq!(warm.power, cold_power);

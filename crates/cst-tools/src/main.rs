@@ -791,6 +791,7 @@ fn run_decomp_sweep(args: &[String]) {
         cst_check::CheckOptions::lenient()
     };
     let mut rows: Vec<DecompRow> = Vec::with_capacity(requests);
+    let mut stages = cst_decomp::DecompTimings::default();
     let mut all_clean = true;
     for i in 0..requests {
         let family = families[i % families.len()];
@@ -835,6 +836,7 @@ fn run_decomp_sweep(args: &[String]) {
             cached_layers: out.cached_layers,
             audit_errors: audit.error_count(),
         });
+        stages += out.decomp_timings;
         ctx.recycle_general(out);
     }
     let stats = ctx.cache_stats().unwrap_or_default();
@@ -888,6 +890,7 @@ fn run_decomp_sweep(args: &[String]) {
             report.total_lower_bound,
             if report.clean { "clean" } else { "FAILED" },
         );
+        println!("decomposition time: {stages}");
     }
     if !all_clean {
         std::process::exit(1);

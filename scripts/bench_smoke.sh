@@ -234,7 +234,8 @@ echo "== bench smoke: e14 warm path must beat fresh layer routing =="
 # A warm cached general route (memo + per-layer cache hits) must never
 # lose to re-routing every layer — in the fresh smoke run and in the
 # checked-in warm medians (the real gap is ~8x; cold noise cannot
-# legitimately invert it).
+# legitimately invert it). The checked-in medians must also keep
+# decomposition at or below layer routing at n=4096.
 for f in BENCH_e14.json "$out_dir/BENCH_e14.json"; do
     awk -v file="$f" '
         /"e14_decomp\// {
@@ -263,6 +264,12 @@ for f in BENCH_e14.json "$out_dir/BENCH_e14.json"; do
                 exit 1
             }
             printf "%s: warm-cached <= route-layers at every size\n", file
+            # Checked-in medians only: one cold smoke pass is too noisy
+            # to order two figures within 2x of each other.
+            if (file == "BENCH_e14.json" && val["decompose/4096"] > val["route-layers/4096"]) {
+                printf "%s: decompose/4096 above route-layers/4096\n", file > "/dev/stderr"
+                exit 1
+            }
         }
     ' "$f"
 done
