@@ -7,6 +7,9 @@
 //!
 //! * `decompose/<n>`    — the coloring alone (first-fit orders + DSATUR
 //!   + iterated greedy), no routing: the front-end's added cost;
+//! * `certificate/<n>`  — the lower-bound certificate alone (endpoint
+//!   cliques + the bound-pruned crossing-clique sweep), one stage of
+//!   `decompose`;
 //! * `route-layers/<n>` — full `route_general` on a warm context with
 //!   the decomposition memoized but every layer routed fresh: the
 //!   per-layer scheduling cost the front-end fans out to;
@@ -20,12 +23,13 @@
 //! build) to stderr.
 //!
 //! `scripts/bench_smoke.sh` gates the id set, warm-cached ≤
-//! route-layers, and decompose/4096 ≤ route-layers/4096 from the
-//! checked-in `BENCH_e14.json`.
+//! route-layers, and — from the checked-in `BENCH_e14.json` —
+//! decompose/4096 ≤ route-layers/4096 and certificate/1024 ≤
+//! decompose/1024 ÷ 3.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cst_core::CstTopology;
-use cst_decomp::{decompose, decompose_timed, DecompTimings};
+use cst_decomp::{certificate, decompose, decompose_timed, DecompTimings};
 use cst_engine::{Csa, EngineCtx};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,6 +45,10 @@ fn bench_e14(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("decompose", n), &n, |b, _| {
             b.iter(|| std::hint::black_box(decompose(&gset).num_layers()))
+        });
+
+        group.bench_with_input(BenchmarkId::new("certificate", n), &n, |b, _| {
+            b.iter(|| std::hint::black_box(certificate(&gset).lower_bound))
         });
 
         let mut stages = DecompTimings::default();

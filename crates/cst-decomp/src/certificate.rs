@@ -67,15 +67,27 @@ fn endpoint_clique(set: &GeneralCommSet) -> Certificate {
     Certificate { lower_bound: witness.len(), witness }
 }
 
-/// Anchored LIS sweep over crossing cliques. The pairs are sorted by
-/// `(l, r)` once; an anchor's candidates (`l_f < l < r_f < r`) are then
-/// the `r > r_f` members of one contiguous `l`-range of that order,
-/// already in the order the LIS walks them. Each anchor first measures
-/// its chain length alone; only an anchor that beats the best so far
-/// walks the range again to recover the chain.
+/// Anchored LIS sweep over crossing cliques, pruned by a per-anchor
+/// upper bound. The pairs are sorted by `(l, r)` once; an anchor's
+/// candidates `C(f)` (`l_f < l < r_f < r`) are then the `r > r_f`
+/// members of one contiguous `l`-range of that order, already in the
+/// order the LIS walks them.
+///
+/// With `E(k)` / `D(k)` the longest strictly-increasing-`r` chain over
+/// the whole order ending / starting at position `k`, `f` can prefix
+/// and suffix any chain of its candidates, so a chain of length `L` in
+/// `C(f)` gives `L ≤ max E(C(f)) − E(f)` and `L ≤ D(f) − min D(C(f))`
+/// ([`anchor_bounds`]). Anchors are measured in decreasing bound order,
+/// and the sweep stops once no unmeasured anchor can beat the best or
+/// tie it from earlier in the anchor order: the witness is the chain of
+/// the *first* anchor (in anchor order) that reaches the maximum, the
+/// one a plain sweep with a strict `>` keeps.
 fn crossing_clique(set: &GeneralCommSet) -> Certificate {
     let pairs = set.pairs();
     let m = pairs.len();
+    if m == 0 {
+        return Certificate::default();
+    }
     let mut anchors: Vec<usize> = (0..m).collect();
     if m > STRONG_BOUND_LIMIT {
         anchors.sort_unstable_by_key(|&i| {
@@ -84,41 +96,191 @@ fn crossing_clique(set: &GeneralCommSet) -> Certificate {
         });
         anchors.truncate(CHEAP_BOUND_ANCHORS);
     }
-    // Pairs are distinct, so `(l, r)` orders them totally.
-    let mut by_left: Vec<usize> = (0..m).collect();
-    by_left.sort_unstable_by_key(|&i| (pairs[i].0 .0, pairs[i].1 .0));
-    let ls: Vec<usize> = by_left.iter().map(|&i| pairs[i].0 .0).collect();
-    let rs: Vec<usize> = by_left.iter().map(|&i| pairs[i].1 .0).collect();
+    // `(l, r, id)` in `(l, r)` order (pairs are distinct, so it is total).
+    let mut sorted: Vec<(u32, u32, u32)> =
+        pairs.iter().enumerate().map(|(i, &(l, r))| (l.0 as u32, r.0 as u32, i as u32)).collect();
+    sorted.sort_unstable();
+    let rs: Vec<u32> = sorted.iter().map(|p| p.1).collect();
+    let mut pos = vec![0; m];
+    for (k, p) in sorted.iter().enumerate() {
+        pos[p.2 as usize] = k;
+    }
+    let at: Vec<usize> = anchors.iter().map(|&f| pos[f]).collect();
 
-    let mut best = Certificate::default();
-    let mut tails: Vec<usize> = Vec::new(); // r of the chain tail per length
-    for &f in &anchors {
-        let (lf, rf) = (pairs[f].0 .0, pairs[f].1 .0);
-        let range = ls.partition_point(|&l| l <= lf)..ls.partition_point(|&l| l < rf);
-        // Longest strictly-increasing subsequence in r (patience sorting).
-        tails.clear();
-        for &r in rs[range.clone()].iter().filter(|&&r| rf < r) {
-            // First tail whose r >= this r gets replaced.
-            let pos = tails.partition_point(|&t| t < r);
-            if pos == tails.len() {
-                tails.push(r);
-            } else {
-                tails[pos] = r;
-            }
+    // Candidates of the pair at position k: positions `lo[k]..hi[k]`,
+    // past its own `l` and before the first `l >= r_k`.
+    let mut lo = vec![m; m];
+    for k in (0..m.saturating_sub(1)).rev() {
+        lo[k] = if sorted[k + 1].0 == sorted[k].0 { lo[k + 1] } else { k + 1 };
+    }
+    let mut by_right: Vec<(u32, usize)> =
+        rs.iter().enumerate().map(|(k, &r)| (u32::MAX - r, k)).collect();
+    by_right.sort_unstable();
+    let mut hi = vec![0; m];
+    let mut end = m;
+    for &(_, k) in &by_right {
+        while end > 0 && sorted[end - 1].0 >= rs[k] {
+            end -= 1;
         }
-        if 1 + tails.len() > best.lower_bound {
-            best = anchored_chain(f, rf, &by_left[range.clone()], &rs[range]);
+        hi[k] = end;
+    }
+
+    let bound = anchor_bounds(&rs, &by_right, &at, &lo, &hi);
+    // Measure in decreasing-bound order, earlier anchors first on ties.
+    let mut order: Vec<usize> = (0..anchors.len()).collect();
+    order.sort_unstable_by_key(|&a| (std::cmp::Reverse(bound[a]), a));
+    let mut best = (0, usize::MAX); // (clique size, anchor index)
+    let mut tails = Vec::new();
+    for a in order {
+        let need = if a < best.1 { best.0 } else { best.0 + 1 };
+        if bound[a] < need {
+            break;
+        }
+        let k = at[a];
+        let size = 1 + chain_len(&rs[lo[k]..hi[k]], rs[k], &mut tails);
+        if size >= need {
+            best = (size, a);
         }
     }
-    best
+    let k = at[best.1];
+    anchored_chain(anchors[best.1], rs[k], &sorted[lo[k]..hi[k]])
+}
+
+/// Longest strictly-increasing subsequence of the entries of `rs` above
+/// `above` — the `r > r_f` candidates.
+fn chain_len(rs: &[u32], above: u32, tails: &mut Vec<u32>) -> u32 {
+    tails.clear();
+    for &r in rs.iter().filter(|&&r| r > above) {
+        extend_chain(tails, r);
+    }
+    tails.len() as u32
+}
+
+/// One patience-sorting step: `tails[j]` is the smallest tail of a
+/// strictly increasing chain of length `j + 1` seen so far. `r` replaces
+/// the first tail at or above it, or extends the longest chain; returns
+/// the length of the longest chain ending at `r`.
+fn extend_chain(tails: &mut Vec<u32>, r: u32) -> u32 {
+    let p = tails.partition_point(|&t| t < r);
+    if p == tails.len() {
+        tails.push(r);
+    } else {
+        tails[p] = r;
+    }
+    p as u32 + 1
+}
+
+/// Every anchor's clique-size upper bound `1 + min(max E(C(f)) − E(f),
+/// D(f) − min D(C(f)))` (`1` without candidates), from one offline sweep
+/// by decreasing `r` over a max-`E` / min-`D` segment tree indexed by
+/// `(l, r)` position: an anchor is queried after exactly the pairs with
+/// `r > r_f` were inserted, so its position range `lo..hi` holds `C(f)`.
+/// `at[a]` is anchor `a`'s position.
+fn anchor_bounds(
+    rs: &[u32],
+    by_right: &[(u32, usize)],
+    at: &[usize],
+    lo: &[usize],
+    hi: &[usize],
+) -> Vec<u32> {
+    let m = rs.len();
+    let (ends, starts) = chain_lengths(rs);
+    let mut anchor_at = vec![usize::MAX; m];
+    for (a, &k) in at.iter().enumerate() {
+        anchor_at[k] = a;
+    }
+    let mut tree = MaxMinTree::new(m);
+    let mut bound = vec![1; at.len()];
+    let mut group = 0..0;
+    while group.end < m {
+        // Pairs sharing one r: query them all before inserting any.
+        let r = by_right[group.end].0;
+        group = group.end..group.end + by_right[group.end..].partition_point(|p| p.0 == r);
+        for &(_, k) in &by_right[group.clone()] {
+            let a = anchor_at[k];
+            if a == usize::MAX {
+                continue;
+            }
+            let (max_end, min_start) = tree.query(lo[k]..hi[k]);
+            if max_end > 0 {
+                bound[a] = 1 + (max_end - ends[k]).min(starts[k] - min_start);
+            }
+        }
+        for &(_, k) in &by_right[group.clone()] {
+            tree.set(k, ends[k], starts[k]);
+        }
+    }
+    bound
+}
+
+/// `(E, D)`: per position, the longest strictly-increasing-`r` chain
+/// ending there and starting there.
+fn chain_lengths(rs: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let mut tails = Vec::new();
+    let ends = rs.iter().map(|&r| extend_chain(&mut tails, r)).collect();
+    // Backwards, a chain increasing in r is one increasing in !r.
+    let mut starts = vec![0; rs.len()];
+    tails.clear();
+    for (k, &r) in rs.iter().enumerate().rev() {
+        starts[k] = extend_chain(&mut tails, !r);
+    }
+    (ends, starts)
+}
+
+/// Point-set, range-query segment tree over `(max E, min D)`; empty
+/// slots hold `(0, u32::MAX)`.
+struct MaxMinTree {
+    size: usize,
+    node: Vec<(u32, u32)>,
+}
+
+impl MaxMinTree {
+    fn new(m: usize) -> Self {
+        let size = m.next_power_of_two();
+        MaxMinTree { size, node: vec![(0, u32::MAX); 2 * size] }
+    }
+
+    fn set(&mut self, k: usize, max: u32, min: u32) {
+        let mut i = k + self.size;
+        self.node[i] = (max, min);
+        while i > 1 {
+            i /= 2;
+            let (a, b) = (self.node[2 * i], self.node[2 * i + 1]);
+            let up = (a.0.max(b.0), a.1.min(b.1));
+            if self.node[i] == up {
+                break; // every ancestor already covers it
+            }
+            self.node[i] = up;
+        }
+    }
+
+    fn query(&self, range: std::ops::Range<usize>) -> (u32, u32) {
+        let (mut max, mut min) = (0, u32::MAX);
+        let (mut lo, mut hi) = (range.start + self.size, range.end + self.size);
+        while lo < hi {
+            if lo & 1 == 1 {
+                max = max.max(self.node[lo].0);
+                min = min.min(self.node[lo].1);
+                lo += 1;
+            }
+            if hi & 1 == 1 {
+                hi -= 1;
+                max = max.max(self.node[hi].0);
+                min = min.min(self.node[hi].1);
+            }
+            lo /= 2;
+            hi /= 2;
+        }
+        (max, min)
+    }
 }
 
 /// The same patience sort over one anchor's range, keeping parent links
-/// to recover the chain: `ids[k]` is the pair with right endpoint `rs[k]`.
-fn anchored_chain(f: usize, rf: usize, ids: &[usize], rs: &[usize]) -> Certificate {
-    let mut tails: Vec<(usize, usize)> = Vec::new(); // (r, k) of the chain tail per length
-    let mut parent = vec![usize::MAX; rs.len()];
-    for (k, &r) in rs.iter().enumerate().filter(|&(_, &r)| rf < r) {
+/// to recover the chain: `range` holds the candidates' `(l, r, id)`.
+fn anchored_chain(f: usize, rf: u32, range: &[(u32, u32, u32)]) -> Certificate {
+    let mut tails: Vec<(u32, usize)> = Vec::new(); // (r, k) of the chain tail per length
+    let mut parent = vec![usize::MAX; range.len()];
+    for (k, &(_, r, _)) in range.iter().enumerate().filter(|&(_, p)| rf < p.1) {
         let pos = tails.partition_point(|&(t, _)| t < r);
         parent[k] = if pos > 0 { tails[pos - 1].1 } else { usize::MAX };
         if pos == tails.len() {
@@ -130,7 +292,7 @@ fn anchored_chain(f: usize, rf: usize, ids: &[usize], rs: &[usize]) -> Certifica
     let mut witness = vec![f];
     let mut at = tails.last().map_or(usize::MAX, |&(_, k)| k);
     while at != usize::MAX {
-        witness.push(ids[at]);
+        witness.push(range[at].2 as usize);
         at = parent[at];
     }
     witness[1..].reverse();

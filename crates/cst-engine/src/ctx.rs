@@ -92,6 +92,13 @@ impl EngineCtx {
         self.route(router.as_ref(), topo, set)
     }
 
+    /// Phase-1 tables of the serial CSA's most recent run (see
+    /// [`CsaScratch::phase1`]), for audits that compare a long-lived
+    /// context's tables with a fresh one's.
+    pub fn csa_phase1(&self) -> &cst_padr::phase1::Phase1 {
+        self.csa.phase1()
+    }
+
     /// Return an outcome's recyclable parts (schedule, meter) to the pool
     /// so the next request reuses their allocations.
     pub fn recycle(&mut self, outcome: RouteOutcome) {

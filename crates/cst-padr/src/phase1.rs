@@ -56,7 +56,18 @@ impl SwitchState {
     pub const WORDS: u32 = 5;
 }
 
+/// Sets with at most one endpoint per this many leaves take the sparse
+/// Phase-1 sweep (and the matching Phase-2 setup); denser sets — a
+/// well-nested serve request covers most of the tree — keep the dense
+/// sweep, whose flat loops beat the footprint's per-level walk there.
+const SPARSE_LEAVES_PER_ENDPOINT: usize = 8;
+
 /// Result of the Phase-1 sweep.
+///
+/// The tables are dense and exact whichever sweep filled them. A sparse
+/// [`run_into`] also records its *footprint* — the endpoint leaves and
+/// their root paths, the only entries it made nonzero — so the next
+/// `run_into` on the same topology clears just those.
 #[derive(Clone, Debug, Default)]
 pub struct Phase1 {
     /// Dense per-node table of switch states (leaves hold zeroed entries).
@@ -66,6 +77,12 @@ pub struct Phase1 {
     pub up_msgs: Vec<UpMsg>,
     /// PE roles, indexed by leaf position.
     pub roles: Vec<PeRole>,
+    /// Nodes the last sparse sweep wrote, one tree level at a time,
+    /// deepest level first (so in bottom-up order); meaningful only while
+    /// `sparse` holds.
+    footprint: Vec<NodeId>,
+    /// Only `footprint` can hold nonzero entries.
+    sparse: bool,
 }
 
 impl Phase1 {
@@ -77,9 +94,31 @@ impl Phase1 {
     /// Recompute one switch's `C_S`/`C_U` from its children's current
     /// upward messages (paper Steps 1.2–1.3, Lemma 1). The full sweep
     /// applies this bottom-up to every switch; the incremental scheduler
-    /// applies it to dirty root-paths only.
+    /// applies it to dirty root-paths only. A table patched this way no
+    /// longer matches a recorded footprint, so the next [`run_into`]
+    /// clears it densely.
     #[inline]
     pub fn recompute_switch(&mut self, u: NodeId) {
+        self.forget_footprint();
+        self.aggregate(u);
+    }
+
+    /// The switches on the endpoints' root paths, bottom-up, when the
+    /// last [`run_into`] took the sparse sweep: every other switch is
+    /// all-zero. `None` after a dense sweep or a hand patch.
+    pub(crate) fn footprint(&self) -> Option<&[NodeId]> {
+        self.sparse.then_some(&self.footprint[..])
+    }
+
+    /// Stop trusting the recorded footprint: the tables may have been
+    /// edited outside [`run_into`], so the next run clears them densely
+    /// and Phase 2 builds its pruning table from every switch.
+    pub(crate) fn forget_footprint(&mut self) {
+        self.sparse = false;
+    }
+
+    #[inline]
+    fn aggregate(&mut self, u: NodeId) {
         let l = self.up_msgs[u.left_child().index()];
         let r = self.up_msgs[u.right_child().index()];
         let matched = l.sources.min(r.dests);
@@ -132,7 +171,7 @@ impl Phase1 {
 /// *not* checked here (the scheduler's entry point validates them); Phase 1
 /// is exactly the paper's local computation.
 pub fn run(topo: &CstTopology, set: &CommSet) -> Result<Phase1, CstError> {
-    let mut p1 = Phase1 { states: Vec::new(), up_msgs: Vec::new(), roles: Vec::new() };
+    let mut p1 = Phase1::default();
     run_into(topo, set, &mut p1)?;
     Ok(p1)
 }
@@ -141,32 +180,92 @@ pub fn run(topo: &CstTopology, set: &CommSet) -> Result<Phase1, CstError> {
 ///
 /// A long-lived engine calls this once per request; after the buffers have
 /// grown to the topology size the sweep allocates nothing.
+///
+/// Cost is O(footprint) for sparse sets: the previous run's footprint is
+/// zeroed (when the last sweep was sparse on this topology size; the
+/// whole table otherwise) and only the new endpoints' root paths are
+/// aggregated, level by level. The tables come out identical to a dense
+/// sweep's either way. Edits made directly to the public tables are not
+/// tracked — after one, run Phase 1 into a fresh [`Phase1`].
 pub fn run_into(topo: &CstTopology, set: &CommSet, p1: &mut Phase1) -> Result<(), CstError> {
     assert_eq!(topo.num_leaves(), set.num_leaves(), "set/topology size mismatch");
     let n = topo.node_table_len();
-    p1.states.clear();
-    p1.states.resize(n, SwitchState::default());
-    p1.up_msgs.clear();
-    p1.up_msgs.resize(n, UpMsg::default());
-    p1.roles.clear();
-    p1.roles.resize(set.num_leaves(), PeRole::Idle);
+    let sized = p1.states.len() == n && p1.up_msgs.len() == n && p1.roles.len() == set.num_leaves();
+    if sized && p1.sparse {
+        for &u in &p1.footprint {
+            p1.states[u.index()] = SwitchState::default();
+            p1.up_msgs[u.index()] = UpMsg::default();
+            if let Some(leaf) = topo.node_leaf(u) {
+                p1.roles[leaf.0] = PeRole::Idle;
+            }
+        }
+    } else {
+        p1.states.clear();
+        p1.states.resize(n, SwitchState::default());
+        p1.up_msgs.clear();
+        p1.up_msgs.resize(n, UpMsg::default());
+        p1.roles.clear();
+        p1.roles.resize(set.num_leaves(), PeRole::Idle);
+    }
+    // Reserved on both paths so a sparse request after dense ones on
+    // this topology never allocates (the footprint holds < n nodes).
+    p1.footprint.clear();
+    p1.footprint.reserve(n);
     for c in set.comms() {
         p1.roles[c.source.0] = PeRole::Source;
         p1.roles[c.dest.0] = PeRole::Destination;
     }
 
-    // Step 1.1: leaves announce.
-    for leaf in topo.leaves() {
-        let (s, d) = p1.roles[leaf.0].announcement();
-        p1.up_msgs[topo.leaf_node(leaf).index()] = UpMsg { sources: s, dests: d };
-    }
-
-    // Steps 1.2-1.3: internal switches, bottom-up.
-    for u in topo.switches_bottom_up() {
-        p1.recompute_switch(u);
+    p1.sparse = 2 * set.len() * SPARSE_LEAVES_PER_ENDPOINT <= set.num_leaves();
+    if p1.sparse {
+        sweep_footprint(topo, set, p1);
+    } else {
+        // Step 1.1: leaves announce.
+        for leaf in topo.leaves() {
+            let (s, d) = p1.roles[leaf.0].announcement();
+            p1.up_msgs[topo.leaf_node(leaf).index()] = UpMsg { sources: s, dests: d };
+        }
+        // Steps 1.2-1.3: internal switches, bottom-up.
+        for u in topo.switches_bottom_up() {
+            p1.aggregate(u);
+        }
     }
 
     p1.require_complete()
+}
+
+/// Steps 1.1–1.3 over the endpoints' root paths only, recording them as
+/// the footprint. All leaves sit at one depth, so the footprint climbs a
+/// level at a time: the parents of a sorted level come out sorted, and
+/// siblings sharing a parent are adjacent.
+fn sweep_footprint(topo: &CstTopology, set: &CommSet, p1: &mut Phase1) {
+    let mut fp = std::mem::take(&mut p1.footprint);
+    for c in set.comms() {
+        for leaf in [c.source, c.dest] {
+            let (s, d) = p1.roles[leaf.0].announcement();
+            p1.up_msgs[topo.leaf_node(leaf).index()] = UpMsg { sources: s, dests: d };
+            fp.push(topo.leaf_node(leaf));
+        }
+    }
+    fp.sort_unstable();
+    fp.dedup();
+    let mut level = 0..fp.len();
+    while let Some(parent) = fp.get(level.start).and_then(|u| u.parent()) {
+        let next = fp.len();
+        fp.push(parent);
+        for i in level {
+            if let Some(p) = fp[i].parent() {
+                if fp[fp.len() - 1] != p {
+                    fp.push(p);
+                }
+            }
+        }
+        for &u in &fp[next..] {
+            p1.aggregate(u);
+        }
+        level = next..fp.len();
+    }
+    p1.footprint = fp;
 }
 
 #[cfg(test)]

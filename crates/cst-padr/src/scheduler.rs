@@ -68,6 +68,11 @@ pub struct Options {
     /// matched communications. Pure host-side work reduction: with it each
     /// round costs O(active switches), without it O(N). Results are
     /// identical either way (asserted in tests).
+    ///
+    /// The pruning table it reads is built per request; on sparse sets
+    /// [`CsaScratch`] builds it over the endpoints' root paths only (see
+    /// [`crate::phase1::Phase1`]), so with pruning on, a sparse request
+    /// costs O(footprint) before its rounds as well as during them.
     pub prune_quiescent: bool,
 }
 
@@ -105,6 +110,11 @@ pub(crate) struct Phase2Buffers {
     stack: Vec<NodeId>,
     /// Source leaves activated this round.
     active_sources: Vec<LeafId>,
+    /// `by_source`, `matched_remaining` and `msgs` are sized for the last
+    /// topology and hold only `None` / `0` / `NULL` — what a successful
+    /// sweep leaves behind. An error return clears it, and the next sweep
+    /// then rebuilds them densely.
+    clean: bool,
 }
 
 /// Reusable state for running the serial CSA back to back.
@@ -198,10 +208,20 @@ impl CsaScratch {
     pub fn timings(&self) -> CsaTimings {
         self.timings
     }
+
+    /// Phase-1 tables of the most recent run that got past validation,
+    /// as its Phase 2 left them (the round sweeps consume `states`).
+    pub fn phase1(&self) -> &Phase1 {
+        &self.p1
+    }
 }
 
 /// Phase 2 proper, reusing an existing Phase-1 result. Exposed separately
 /// so the discrete-event simulator can interleave its own timing model.
+///
+/// Each call starts from fresh buffers, so the pruning table is built
+/// from every switch's state, not from a Phase-1 footprint: callers may
+/// have edited the states (fault injection corrupts idle switches).
 pub fn run_phase2(
     topo: &CstTopology,
     set: &CommSet,
@@ -226,6 +246,11 @@ pub fn run_phase2_with(
 /// `pool`; with warm buffers and tracing disabled (`trace: None`) this
 /// function performs no allocation on the success path (error details may
 /// format strings).
+///
+/// After a sparse [`phase1::run_into`] (see [`Phase1`]), setup costs
+/// O(footprint): the pruning table is aggregated over the footprint
+/// alone, and the other tables are already neutral from the last
+/// successful sweep.
 pub(crate) fn phase2_core(
     topo: &CstTopology,
     set: &CommSet,
@@ -242,22 +267,31 @@ pub(crate) fn phase2_core(
         ..Default::default()
     };
 
-    let Phase2Buffers { by_source, matched_remaining, msgs, arena, stack, active_sources } = bufs;
+    let Phase2Buffers { by_source, matched_remaining, msgs, arena, stack, active_sources, clean } =
+        bufs;
+    let footprint = p1
+        .footprint()
+        .filter(|_| *clean && matched_remaining.len() == n && by_source.len() == set.num_leaves());
+    *clean = false;
+    if footprint.is_none() {
+        by_source.clear();
+        by_source.resize(set.num_leaves(), None);
+        matched_remaining.clear();
+        matched_remaining.resize(n, 0);
+        msgs.clear();
+        msgs.resize(n, DownMsg::NULL);
+    }
 
     // Pairing oracle for verification: source leaf -> (comm id, dest leaf).
     // Dense by leaf index — the former HashMap allocated per call.
-    by_source.clear();
-    by_source.resize(set.num_leaves(), None);
     for (id, c) in set.iter() {
         by_source[c.source.0] = Some((id, c.dest));
     }
 
     // `matched_remaining[u]` = unscheduled communications matched anywhere
     // in the subtree of `u`; lets the sweep skip quiescent subtrees that
-    // received [null, null].
-    matched_remaining.clear();
-    matched_remaining.resize(n, 0);
-    for u in topo.switches_bottom_up() {
+    // received [null, null]. Off the footprint every subtree is empty.
+    let mut aggregate = |u: NodeId| {
         let below = |c: NodeId| {
             if topo.is_internal(c) {
                 matched_remaining[c.index()]
@@ -267,6 +301,10 @@ pub(crate) fn phase2_core(
         };
         matched_remaining[u.index()] =
             p1.states[u.index()].matched + below(u.left_child()) + below(u.right_child());
+    };
+    match footprint {
+        Some(fp) => fp.iter().copied().filter(|&u| topo.is_internal(u)).for_each(&mut aggregate),
+        None => topo.switches_bottom_up().for_each(&mut aggregate),
     }
 
     if let Some(t) = trace.as_deref_mut() {
@@ -281,8 +319,6 @@ pub(crate) fn phase2_core(
     let mut meter = pool.take_meter(topo);
     let mut schedule = pool.take_schedule();
     let mut scheduled_total = 0usize;
-    msgs.clear();
-    msgs.resize(n, DownMsg::NULL);
     // Dense per-round scratch: the sweep writes switch settings into
     // preallocated slots (O(1) each); take_round_into() extracts the
     // compact sorted table at end of round and resets in O(touched).
@@ -414,6 +450,13 @@ pub(crate) fn phase2_core(
         arena.take_round_into(&mut round.configs);
         schedule.rounds.push(round);
     }
+
+    // Every round drained `msgs` and every scheduled communication
+    // decremented its ancestors, so only `by_source` needs clearing.
+    for c in set.comms() {
+        by_source[c.source.0] = None;
+    }
+    *clean = matched_remaining[NodeId::ROOT.index()] == 0;
 
     let power = meter.report(topo);
     Ok(CsaOutcome { schedule, power, meter, metrics })

@@ -208,10 +208,13 @@ CRITERION_JSON="$out_dir/BENCH_e14.json" \
     cargo bench -p bench --bench e14_decomp -- --test
 
 echo "== bench smoke: e14 bench IDs =="
-# The nine ids are the layered front-end's contract: decompose /
-# route-layers / warm-cached at each size. The checked-in BENCH_e14.json
-# and a fresh smoke run must both carry exactly this set.
-e14_ids="e14_decomp/decompose/1024
+# The twelve ids are the layered front-end's contract: decompose /
+# certificate / route-layers / warm-cached at each size. The checked-in
+# BENCH_e14.json and a fresh smoke run must both carry exactly this set.
+e14_ids="e14_decomp/certificate/1024
+e14_decomp/certificate/256
+e14_decomp/certificate/4096
+e14_decomp/decompose/1024
 e14_decomp/decompose/256
 e14_decomp/decompose/4096
 e14_decomp/route-layers/1024
@@ -228,14 +231,16 @@ for f in BENCH_e14.json "$out_dir/BENCH_e14.json"; do
         exit 1
     fi
 done
-echo "e14 id gate: both files carry the nine layering ids"
+echo "e14 id gate: both files carry the twelve layering ids"
 
 echo "== bench smoke: e14 warm path must beat fresh layer routing =="
 # A warm cached general route (memo + per-layer cache hits) must never
 # lose to re-routing every layer — in the fresh smoke run and in the
 # checked-in warm medians (the real gap is ~8x; cold noise cannot
 # legitimately invert it). The checked-in medians must also keep
-# decomposition at or below layer routing at n=4096.
+# decomposition at or below layer routing at n=4096, and the certificate
+# at or below a third of decomposition at n=1024 (it was over half before
+# the bound-pruned crossing-clique sweep).
 for f in BENCH_e14.json "$out_dir/BENCH_e14.json"; do
     awk -v file="$f" '
         /"e14_decomp\// {
@@ -268,6 +273,11 @@ for f in BENCH_e14.json "$out_dir/BENCH_e14.json"; do
             # to order two figures within 2x of each other.
             if (file == "BENCH_e14.json" && val["decompose/4096"] > val["route-layers/4096"]) {
                 printf "%s: decompose/4096 above route-layers/4096\n", file > "/dev/stderr"
+                exit 1
+            }
+            if (file == "BENCH_e14.json" && 3 * val["certificate/1024"] > val["decompose/1024"]) {
+                printf "%s: certificate/1024 (%.0f ns) above decompose/1024 / 3 (%.0f ns)\n", \
+                    file, val["certificate/1024"], val["decompose/1024"] / 3 > "/dev/stderr"
                 exit 1
             }
         }

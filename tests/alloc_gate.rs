@@ -161,6 +161,63 @@ fn warm_context_stays_allocation_free_on_smaller_requests() {
 }
 
 #[test]
+fn warm_csa_route_stays_allocation_free_between_sparse_and_dense_sets() {
+    // Sparse sets (a decomposed layer: few endpoints on a big tree) take
+    // the footprint-sized Phase-1 / Phase-2 setup, dense ones the flat
+    // sweep. Switching between the two on one topology must not grow the
+    // CSA scratch: the dense path reserves what the sparse path needs.
+    let n = 1024;
+    let topo = CstTopology::with_leaves(n);
+    let mut rng = StdRng::seed_from_u64(0x5BA55);
+    let dense = cst::workloads::well_nested_with_density(&mut rng, n, 0.7);
+    let gset = cst::workloads::arbitrary_permutation(&mut rng, n);
+    let mut ctx = EngineCtx::new();
+    let sparse = ctx.decomposition_for(&gset).layer_sets[0].clone();
+    assert!(2 * sparse.len() * 8 <= n, "layer must be sparse: {} pairs", sparse.len());
+    assert!(2 * dense.len() * 8 > n, "set must be dense: {} pairs", dense.len());
+
+    // Through the engine: the context's first sparse layer, after it
+    // has only ever seen the dense set.
+    for _ in 0..2 {
+        let out = ctx.route(&Csa, &topo, &dense).unwrap();
+        ctx.recycle(out);
+    }
+    let (warm, out) = alloc_counter::measure(|| ctx.route(&Csa, &topo, &sparse).unwrap());
+    assert_eq!(
+        (warm.allocations, warm.bytes_allocated),
+        (0, 0),
+        "sparse after dense: warm route() must not touch the heap: {warm:?}"
+    );
+    ctx.recycle(out);
+
+    // Both directions on one scratch. A pooled round shell returned by a
+    // small schedule is trimmed on purpose (`SchedulePool` keeps a few
+    // times what a shell last held), so each shape draws its outcomes
+    // from a pool of its own and only the scratch switches shape.
+    let mut scratch = cst::padr::CsaScratch::new();
+    let mut pools = [cst::comm::SchedulePool::new(), cst::comm::SchedulePool::new()];
+    let sets = [&dense, &sparse];
+    let mut route = |i: usize, scratch: &mut cst::padr::CsaScratch| {
+        let out = scratch.schedule(&topo, sets[i], &mut pools[i]).unwrap();
+        pools[i].put_meter(out.meter);
+        pools[i].put_schedule(out.schedule);
+    };
+    for _ in 0..2 {
+        route(0, &mut scratch);
+        route(1, &mut scratch);
+    }
+    for (label, first, second) in [("sparse after dense", 0, 1), ("dense after sparse", 1, 0)] {
+        route(first, &mut scratch);
+        let (warm, ()) = alloc_counter::measure(|| route(second, &mut scratch));
+        assert_eq!(
+            (warm.allocations, warm.bytes_allocated),
+            (0, 0),
+            "{label}: warm CsaScratch::schedule must not touch the heap: {warm:?}"
+        );
+    }
+}
+
+#[test]
 fn trace_instrumentation_is_zero_cost_when_disabled() {
     // The protocol-trace emitter hooks (cst-model conformance) thread an
     // `Option<&mut ProtocolTrace>` through the scheduler's round loop;

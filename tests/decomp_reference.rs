@@ -318,3 +318,59 @@ fn layering_matches_the_pairwise_reference_above_the_search_limits() {
     let large = cst::workloads::arbitrary_permutation(&mut rng, 2 * (DSATUR_LIMIT + 52));
     assert_identical("matching m=2100", &large);
 }
+
+/// The standalone certificate against the pairwise reference.
+fn assert_same_certificate(label: &str, set: &GeneralCommSet) {
+    assert_eq!(certificate(set), reference_certificate(set), "{label}: certificate");
+}
+
+#[test]
+fn certificate_matches_the_pairwise_reference_on_edge_cases() {
+    // The crossing-clique sweep skips anchors whose upper bound cannot
+    // beat (or, from earlier in the anchor order, tie) the best so far;
+    // the witness must still be exactly the plain sweep's.
+    let mut rng = StdRng::seed_from_u64(0xCE27);
+
+    // Both sides of the every-anchor / widest-anchor switch.
+    for m in [STRONG_BOUND_LIMIT, STRONG_BOUND_LIMIT + 1] {
+        assert_same_certificate(&format!("random m={m}"), &random_general(&mut rng, 4096, m));
+    }
+
+    assert_same_certificate("empty", &GeneralCommSet::empty(16));
+    assert_same_certificate("one pair", &GeneralCommSet::from_pairs(16, &[(3, 9)]));
+
+    // Tied left endpoints: a few left leaves fan out to many right ones.
+    for n in [16usize, 64, 256] {
+        for _ in 0..4 {
+            let mut set = GeneralCommSet::empty(n);
+            let lefts: Vec<usize> = (0..4).map(|_| rng.gen_range(0..n / 2)).collect();
+            for _ in 0..n / 2 {
+                let l = lefts[rng.gen_range(0..lefts.len())];
+                let r = rng.gen_range(l + 1..n);
+                let _ = set.push(l, r);
+            }
+            assert_same_certificate(&format!("tied lefts n={n}"), &set);
+        }
+    }
+
+    // Hotspot spokes mixed into a matching: endpoint and crossing
+    // cliques compete for the bound.
+    for n in [32usize, 128, 512] {
+        for _ in 0..3 {
+            let mut set = cst::workloads::hotspot(&mut rng, n, n / 8);
+            let matching = cst::workloads::arbitrary_permutation(&mut rng, n);
+            for &(a, b) in matching.pairs() {
+                let _ = set.push(a.0, b.0);
+            }
+            assert_same_certificate(&format!("hotspot + matching n={n}"), &set);
+        }
+    }
+
+    // Two equal rainbows, the right one first in id order: both first
+    // anchors reach the maximum and the earlier id must win.
+    let pairs: Vec<(usize, usize)> = (0..8)
+        .map(|i| (32 + i, 40 + i))
+        .chain((0..8).map(|i| (i, 8 + i)))
+        .collect();
+    assert_same_certificate("tied rainbows", &GeneralCommSet::from_pairs(64, &pairs));
+}
