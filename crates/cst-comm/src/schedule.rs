@@ -9,6 +9,7 @@
 
 use crate::communication::CommId;
 use crate::set::CommSet;
+use cst_core::round::write_json_uint;
 use cst_core::{CstError, CstTopology, NodeId, PowerMeter, RoundConfigs};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -112,6 +113,30 @@ impl Schedule {
         crate::check::check_rounds(topo, set, self).into_result()?;
         Ok(self.rounds.len())
     }
+
+    /// Append exactly the bytes `serde_json::to_string(self)` produces,
+    /// written straight from the rounds with no intermediate
+    /// `serde::Value` tree or `String`. Serde stays the decoder and the
+    /// reference these bytes are tested against.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"rounds\":[");
+        for (i, round) in self.rounds.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            out.extend_from_slice(b"{\"comms\":[");
+            for (k, id) in round.comms.iter().enumerate() {
+                if k > 0 {
+                    out.push(b',');
+                }
+                write_json_uint(out, id.0 as u64);
+            }
+            out.extend_from_slice(b"],\"configs\":");
+            round.configs.write_json(out);
+            out.push(b'}');
+        }
+        out.extend_from_slice(b"]}");
+    }
 }
 
 /// How many times the entries a round shell just held it may keep as
@@ -148,11 +173,42 @@ fn clear_shell(round: &mut Round) {
 /// varied requests would keep growing; with it, pooled memory follows the
 /// recent requests, and repeating a request still finds every shell large
 /// enough.
+///
+/// The pool also holds at most as many round shells (and schedule shells)
+/// as it has ever had out at once: its peak demand. A returned shell
+/// beyond that is dropped. Shells still out (held by a cache, say) count
+/// toward the demand, so a pool that only gets back its own shells never
+/// loses one to the bound, and repeating a request stays allocation-free.
+/// A pool handed schedules taken from *another* pool (a serve worker
+/// recycling a cache eviction victim that a different worker routed)
+/// would otherwise keep every surplus shell and grow with the number of
+/// routes served.
 #[derive(Debug, Default)]
 pub struct SchedulePool {
     schedules: Vec<Schedule>,
     rounds: VecDeque<Round>,
     meters: Vec<PowerMeter>,
+    round_demand: Demand,
+    schedule_demand: Demand,
+}
+
+/// Shells of one kind out of a pool right now, and the most ever out at
+/// once. Returns of shells this pool never handed out floor `out` at zero.
+#[derive(Clone, Copy, Debug, Default)]
+struct Demand {
+    out: usize,
+    peak: usize,
+}
+
+impl Demand {
+    fn take(&mut self) {
+        self.out += 1;
+        self.peak = self.peak.max(self.out);
+    }
+
+    fn put(&mut self) {
+        self.out = self.out.saturating_sub(1);
+    }
 }
 
 impl SchedulePool {
@@ -163,12 +219,20 @@ impl SchedulePool {
 
     /// An empty schedule, reusing pooled round capacity when available.
     pub fn take_schedule(&mut self) -> Schedule {
+        self.schedule_demand.take();
         self.schedules.pop().unwrap_or_default()
     }
 
     /// An empty round (cleared `comms`/`configs`, capacity retained).
     pub fn take_round(&mut self) -> Round {
+        self.round_demand.take();
         self.rounds.pop_front().unwrap_or_default()
+    }
+
+    /// Pooled `(round shells, schedule shells)` ready to hand out. Never
+    /// above the peak demand (see the type docs).
+    pub fn pooled_shells(&self) -> (usize, usize) {
+        (self.rounds.len(), self.schedules.len())
     }
 
     /// A meter reset to the all-disconnected state for `topo`.
@@ -183,13 +247,16 @@ impl SchedulePool {
     }
 
     /// Return a schedule: its rounds are cleared into the round pool and
-    /// the emptied shell joins the schedule pool.
+    /// the emptied shell joins the schedule pool, each up to its peak
+    /// demand.
     pub fn put_schedule(&mut self, mut s: Schedule) {
-        for mut round in s.rounds.drain(..).rev() {
-            clear_shell(&mut round);
-            self.rounds.push_front(round);
+        for round in s.rounds.drain(..).rev() {
+            self.put_round(round);
         }
-        self.schedules.push(s);
+        self.schedule_demand.put();
+        if self.schedules.len() < self.schedule_demand.peak {
+            self.schedules.push(s);
+        }
     }
 
     /// Clone `src` into a schedule assembled from pooled shells: the
@@ -210,10 +277,14 @@ impl SchedulePool {
         out
     }
 
-    /// Return a round for reuse.
+    /// Return a round for reuse. The deepest shell goes instead when the
+    /// pool already holds its peak demand, so the front keeps serving
+    /// round `i` from position `i`.
     pub fn put_round(&mut self, mut r: Round) {
+        self.round_demand.put();
         clear_shell(&mut r);
         self.rounds.push_front(r);
+        self.rounds.truncate(self.round_demand.peak);
     }
 
     /// Return a meter for reuse (reset happens on the next take).
@@ -334,6 +405,79 @@ mod tests {
         pool.put_round(small);
         // Just held one entry: the shell gives back all but the floor.
         assert!(pool.take_round().comms.capacity() <= 32);
+    }
+
+    /// A schedule of `rounds` rounds drawn from `pool`.
+    fn drawn(pool: &mut SchedulePool, rounds: usize) -> Schedule {
+        let mut s = pool.take_schedule();
+        for i in 0..rounds {
+            let mut r = pool.take_round();
+            r.comms.push(CommId(i));
+            s.rounds.push(r);
+        }
+        s
+    }
+
+    #[test]
+    fn pool_fed_by_another_pool_holds_at_most_its_peak_demand() {
+        // The serve eviction pattern: two workers take turns inserting
+        // into one shared 3-entry FIFO cache, and each gets back whatever
+        // its insert evicts, which is always the other worker's schedule.
+        // `mine` routes 2-round schedules and recycles 9-round ones.
+        let (mut mine, mut theirs) = (SchedulePool::new(), SchedulePool::new());
+        let mut cache: VecDeque<Schedule> = VecDeque::new();
+        for step in 0..2000 {
+            let (pool, rounds) =
+                if step % 2 == 0 { (&mut mine, 2) } else { (&mut theirs, 9) };
+            cache.push_back(drawn(pool, rounds));
+            if cache.len() > 3 {
+                let victim = cache.pop_front().unwrap();
+                pool.put_schedule(victim);
+            }
+            for p in [&mine, &theirs] {
+                assert!(p.rounds.len() <= p.round_demand.peak, "step {step}");
+                assert!(p.schedules.len() <= p.schedule_demand.peak, "step {step}");
+            }
+        }
+        // `mine` had three schedules out before its first eviction; after
+        // it, every return outweighs the next take. Unbounded, its pool
+        // would hold 7 more shells per turn.
+        assert_eq!(mine.round_demand.peak, 3 * 2);
+        assert_eq!(mine.pooled_shells().0, 3 * 2);
+    }
+
+    #[test]
+    fn own_schedules_come_back_in_full() {
+        // A pool serving only itself keeps every shell it handed out, so
+        // repeating a request finds all of them.
+        let mut pool = SchedulePool::new();
+        let held: Vec<Schedule> = (1..=3).map(|r| drawn(&mut pool, r)).collect();
+        for s in held {
+            pool.put_schedule(s);
+        }
+        assert_eq!(pool.pooled_shells(), (6, 3));
+        let again = drawn(&mut pool, 6);
+        assert_eq!(pool.pooled_shells(), (0, 2));
+        pool.put_schedule(again);
+        assert_eq!(pool.pooled_shells(), (6, 3));
+    }
+
+    #[test]
+    fn write_json_matches_serde_byte_for_byte() {
+        let topo = CstTopology::with_leaves(8);
+        let set = CommSet::from_pairs(8, &[(0, 7), (1, 6), (2, 3)]);
+        for sched in [
+            Schedule::default(),
+            Schedule { rounds: vec![Round::default()] },
+            Schedule {
+                rounds: vec![round_of(&topo, &set, &[0, 2]), round_of(&topo, &set, &[1])],
+            },
+        ] {
+            let mut out = Vec::new();
+            sched.write_json(&mut out);
+            let serde = serde_json::to_string(&sched).unwrap();
+            assert_eq!(std::str::from_utf8(&out).unwrap(), serde);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::error::CstError;
 use crate::node::NodeId;
-use crate::switch::{Connection, SwitchConfig};
+use crate::switch::{Connection, Side, SwitchConfig};
 use crate::topology::CstTopology;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
@@ -169,6 +169,52 @@ impl Serialize for RoundConfigs {
                 .collect(),
         )
     }
+}
+
+/// JSON of one `driver` slot (`Option<Side>`), indexed by
+/// `None`, `Left`, `Right`, `Parent`.
+const DRIVER_JSON: [&[u8]; 4] = [b"null", b"\"Left\"", b"\"Right\"", b"\"Parent\""];
+
+impl RoundConfigs {
+    /// Append exactly the bytes `serde_json::to_string` produces for this
+    /// table, without building a `serde::Value` tree: the map keyed by the
+    /// decimal heap index, each value `{"driver":[..3 slots..]}`.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        out.push(b'{');
+        for (i, (node, cfg)) in self.entries.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            out.push(b'"');
+            write_json_uint(out, node.0 as u64);
+            out.extend_from_slice(b"\":{\"driver\":[");
+            for (k, side) in Side::ALL.into_iter().enumerate() {
+                if k > 0 {
+                    out.push(b',');
+                }
+                let slot = cfg.driver_of(side).map_or(0, |d| d.index() + 1);
+                out.extend_from_slice(DRIVER_JSON[slot]);
+            }
+            out.extend_from_slice(b"]}");
+        }
+        out.push(b'}');
+    }
+}
+
+/// Append `v` in decimal, as `serde_json` writes an unsigned integer,
+/// without allocating.
+pub fn write_json_uint(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 impl Deserialize for RoundConfigs {
@@ -359,5 +405,15 @@ mod tests {
         let v: Value = serde_json::from_str::<Value>(&json).unwrap();
         let back = RoundConfigs::from_value(&v).unwrap();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn write_json_uint_matches_display() {
+        let mut out = Vec::new();
+        for v in [0u64, 7, 10, 99, 100, 65_535, 1 << 40, u64::MAX] {
+            out.clear();
+            write_json_uint(&mut out, v);
+            assert_eq!(out, v.to_string().as_bytes());
+        }
     }
 }

@@ -94,6 +94,18 @@ pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
     buf.extend_from_slice(bytes);
 }
 
+/// Append a `u32`-length-prefixed blob that `write` appends in place:
+/// the prefix is reserved first and filled in once the length is known,
+/// so the blob is never assembled in a buffer of its own.
+pub fn put_bytes_with(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    put_u32(buf, 0);
+    write(buf);
+    let len = buf.len() - at - 4;
+    assert!(len <= u32::MAX as usize, "blob exceeds u32 length prefix");
+    buf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
 /// Append a `u32`-length-prefixed UTF-8 string.
 pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_bytes(buf, s.as_bytes());

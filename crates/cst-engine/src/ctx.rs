@@ -108,6 +108,13 @@ impl EngineCtx {
         }
     }
 
+    /// Pooled `(round shells, schedule shells)` ready for the next
+    /// request; never above the pool's peak demand (see
+    /// [`SchedulePool`]).
+    pub fn pooled_shells(&self) -> (usize, usize) {
+        self.pool.pooled_shells()
+    }
+
     /// Meter an arbitrary schedule under the PADR power model using pooled
     /// meter storage. Used by routers whose construction path does not
     /// already meter (baselines, composed schedulers).

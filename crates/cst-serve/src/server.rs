@@ -44,9 +44,9 @@
 
 use crate::stats::{ServeCounters, ServeStats};
 use crate::wire::{
-    encode_batch_response, encode_error_response, encode_reset_response, encode_route_response,
-    encode_stats_response, encode_payload, take_mask, take_set, write_frame, DegradationSummary,
-    ErrorCode, ErrorFrame, ServedItem, MAX_WIRE_LEAVES, REQ_BATCH, REQ_RESET, REQ_ROUTE, REQ_STATS,
+    encode_batch_response, encode_error_response, encode_outcome_payload, encode_reset_response,
+    encode_route_response, encode_stats_response, take_mask, take_set, write_frame, ErrorCode,
+    ErrorFrame, ServedItem, MAX_WIRE_LEAVES, REQ_BATCH, REQ_RESET, REQ_ROUTE, REQ_STATS,
 };
 use cst_comm::CommSet;
 use cst_core::wire::{WireCursor, WireError};
@@ -186,6 +186,13 @@ impl WorkerCore {
             topo: None,
             payload_buf: Vec::new(),
         }
+    }
+
+    /// This worker's pooled `(round shells, schedule shells)`. Recycling
+    /// eviction victims another worker routed never lifts it above the
+    /// worker's own peak demand.
+    pub fn pooled_shells(&self) -> (usize, usize) {
+        self.ctx.pooled_shells()
     }
 
     /// Serve one request frame body, writing exactly one response frame
@@ -436,26 +443,7 @@ impl WorkerCore {
         }
         .map_err(|e| ErrorFrame { code: ErrorCode::RouteFailed, message: e.to_string() })?;
 
-        let schedule_json = serde_json::to_string(&outcome.schedule)
-            .map_err(|e| ErrorFrame { code: ErrorCode::RouteFailed, message: e.to_string() })?;
-        let degradation = outcome.degradation.as_ref().map(|d| DegradationSummary {
-            total: d.total as u64,
-            routed: d.routed as u64,
-            rerouted: d.rerouted as u64,
-            dropped: d.dropped as u64,
-            extra_rounds: d.extra_rounds as u64,
-            dropped_ids: d.drops.iter().map(|x| x.comm as u64).collect(),
-        });
-        encode_payload(
-            payload_buf,
-            outcome.router,
-            outcome.rounds as u64,
-            outcome.power.total_units,
-            outcome.power.max_units,
-            outcome.power.max_port_transitions,
-            degradation.as_ref(),
-            schedule_json.as_bytes(),
-        );
+        encode_outcome_payload(payload_buf, &outcome);
         let payload: Arc<[u8]> = Arc::from(payload_buf.as_slice());
 
         let schedule = std::mem::take(&mut outcome.schedule);

@@ -48,15 +48,19 @@
 //! decoder also accepts frames from *newer* servers.
 //!
 //! The **payload** is the unit the shared cache stores: a
-//! [`RouteSummary`] followed by the schedule's `serde_json` bytes. It is
+//! [`RouteSummary`] followed by the schedule's JSON bytes (exactly what
+//! `serde_json` writes; the server writes them in place with
+//! `Schedule::write_json`, see [`encode_outcome_payload`]). It is
 //! a pure function of the request — the `cached` flag lives *outside* it,
 //! so a hit can serve the identical bytes a miss produced.
 
 use crate::stats::ServeStats;
 use cst_comm::CommSet;
-use cst_core::wire::{put_bytes, put_str, put_u16, put_u32, put_u64, put_u8, WireCursor, WireError};
+use cst_core::wire::{
+    put_bytes, put_bytes_with, put_str, put_u16, put_u32, put_u64, put_u8, WireCursor, WireError,
+};
 use cst_core::{CstTopology, DirectedLink, FaultMask, NodeId};
-use cst_engine::CacheStats;
+use cst_engine::{CacheStats, RouteOutcome};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -525,8 +529,8 @@ pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
 // ---------------------------------------------------------------------
 
 /// Encode a payload into `buf` (cleared first): summary fields, then the
-/// schedule's serde bytes. The server calls this once per cache miss;
-/// every hit re-serves the identical bytes.
+/// schedule's serde bytes. The server builds the same bytes in place with
+/// [`encode_outcome_payload`]; this form takes the JSON ready-made.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_payload(
     buf: &mut Vec<u8>,
@@ -538,28 +542,77 @@ pub fn encode_payload(
     degradation: Option<&DegradationSummary>,
     schedule_json: &[u8],
 ) {
+    put_summary(buf, router, rounds, power_total_units, power_max_units, max_port_transitions);
+    match degradation {
+        None => put_u8(buf, 0),
+        Some(d) => put_degradation(
+            buf,
+            [d.total, d.routed, d.rerouted, d.dropped, d.extra_rounds],
+            d.dropped_ids.iter().copied(),
+        ),
+    }
+    put_bytes(buf, schedule_json);
+}
+
+/// Encode the payload of a routed outcome into `buf` (cleared first):
+/// byte for byte what [`encode_payload`] writes for the outcome's summary
+/// and `serde_json::to_string(&outcome.schedule)`, but the schedule JSON
+/// comes from [`cst_comm::Schedule::write_json`] straight into `buf`,
+/// behind a length prefix filled in afterwards. The server calls this
+/// once per cache miss; every hit re-serves the identical bytes.
+pub fn encode_outcome_payload(buf: &mut Vec<u8>, outcome: &RouteOutcome) {
+    let power = &outcome.power;
+    put_summary(
+        buf,
+        outcome.router,
+        outcome.rounds as u64,
+        power.total_units,
+        power.max_units,
+        power.max_port_transitions,
+    );
+    match &outcome.degradation {
+        None => put_u8(buf, 0),
+        Some(d) => put_degradation(
+            buf,
+            [d.total, d.routed, d.rerouted, d.dropped, d.extra_rounds].map(|x| x as u64),
+            d.drops.iter().map(|x| x.comm as u64),
+        ),
+    }
+    put_bytes_with(buf, |b| outcome.schedule.write_json(b));
+}
+
+/// The payload's fixed summary fields (clears `buf` first).
+fn put_summary(
+    buf: &mut Vec<u8>,
+    router: &str,
+    rounds: u64,
+    power_total_units: u64,
+    power_max_units: u32,
+    max_port_transitions: u32,
+) {
     buf.clear();
     put_str(buf, router);
     put_u64(buf, rounds);
     put_u64(buf, power_total_units);
     put_u32(buf, power_max_units);
     put_u32(buf, max_port_transitions);
-    match degradation {
-        None => put_u8(buf, 0),
-        Some(d) => {
-            put_u8(buf, 1);
-            put_u64(buf, d.total);
-            put_u64(buf, d.routed);
-            put_u64(buf, d.rerouted);
-            put_u64(buf, d.dropped);
-            put_u64(buf, d.extra_rounds);
-            put_u32(buf, d.dropped_ids.len() as u32);
-            for &id in &d.dropped_ids {
-                put_u64(buf, id);
-            }
-        }
+}
+
+/// A present degradation block: tag 1, the five totals (total, routed,
+/// rerouted, dropped, extra rounds), then the dropped ids.
+fn put_degradation(
+    buf: &mut Vec<u8>,
+    totals: [u64; 5],
+    dropped_ids: impl ExactSizeIterator<Item = u64>,
+) {
+    put_u8(buf, 1);
+    for v in totals {
+        put_u64(buf, v);
     }
-    put_bytes(buf, schedule_json);
+    put_u32(buf, dropped_ids.len() as u32);
+    for id in dropped_ids {
+        put_u64(buf, id);
+    }
 }
 
 /// Decode a payload into its summary and borrowed schedule JSON bytes.

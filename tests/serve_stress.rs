@@ -550,3 +550,58 @@ fn unix_socket_serves_and_resets() {
     server.shutdown();
     assert!(!std::path::Path::new(path).exists(), "shutdown removes the socket file");
 }
+
+#[test]
+fn worker_pools_stay_flat_while_recycling_each_others_evictions() {
+    // Two workers share one small cache, so almost every insert evicts a
+    // schedule and the inserting worker recycles it, whichever worker
+    // routed it. Worker 0 routes small sets and worker 1 large ones, the
+    // lopsided case: unbounded, worker 0's pool keeps the surplus of
+    // every large victim it recycles and grows with each route served
+    // (to ~8400 round shells here).
+    use cst::serve::wire::{decode_payload, decode_response, encode_route_request, Response};
+    use cst::serve::{ServeShared, WorkerCore};
+    use std::sync::Arc;
+
+    const MISSES: usize = 3000;
+    const CAPACITY: usize = 8;
+    let config = ServeConfig { workers: 2, cache_capacity: CAPACITY, ..ServeConfig::default() };
+    let shared = Arc::new(ServeShared::new(config));
+    let mut workers = [WorkerCore::new(Arc::clone(&shared)), WorkerCore::new(Arc::clone(&shared))];
+    let mut rng = StdRng::seed_from_u64(0x9001);
+    let (mut body, mut out) = (Vec::new(), Vec::new());
+    let mut pooled = [vec![], vec![]];
+    let mut max_rounds = 0;
+    for i in 0..MISSES {
+        let w = i % 2;
+        let (n, density) = if w == 0 { (32, 0.3) } else { (256, 0.9) };
+        let set = cst::workloads::well_nested_with_density(&mut rng, n, density);
+        encode_route_request(&mut body, "csa", &set, None);
+        workers[w].handle_frame(&body, &mut out);
+        let Ok(Response::Route(reply)) = decode_response(&out) else {
+            panic!("request {i}: expected a route response");
+        };
+        let (summary, _) = decode_payload(&reply.payload).unwrap();
+        max_rounds = max_rounds.max(summary.rounds as usize);
+        pooled[w].push(workers[w].pooled_shells());
+    }
+    let stats = shared.stats();
+    assert!(stats.cache.evictions as usize > MISSES * 9 / 10, "{stats:?}");
+
+    let peak = |half: &[(usize, usize)]| {
+        half.iter().fold((0, 0), |m, p| (m.0.max(p.0), m.1.max(p.1)))
+    };
+    for (w, trace) in pooled.iter().enumerate() {
+        let (first, second) = trace.split_at(trace.len() / 2);
+        let (early, late) = (peak(first), peak(second));
+        assert!(
+            late.0 <= early.0 && late.1 <= early.1,
+            "worker {w}: pooled (rounds, schedules) grew from {early:?} to {late:?}"
+        );
+        assert!(
+            early.0 <= (CAPACITY + 1) * max_rounds,
+            "worker {w}: {} pooled round shells, more than the cache can hold",
+            early.0
+        );
+    }
+}

@@ -8,13 +8,13 @@
 
 use cst::comm::CommSet;
 use cst::core::{CstTopology, DirectedLink, FaultMask, NodeId};
-use cst::engine::CacheStats;
+use cst::engine::{CacheStats, Csa, EngineCtx};
 use cst::serve::wire::{
     decode_payload, decode_request, decode_response, encode_batch_masked_request,
-    encode_batch_request, encode_batch_response, encode_error_response, encode_payload,
-    encode_request, encode_reset_request, encode_route_request, encode_route_response,
-    encode_stats_request, encode_stats_response, read_frame, write_frame, DegradationSummary,
-    FrameError, DEFAULT_MAX_FRAME, MAX_WIRE_LEAVES, STATS_MINOR,
+    encode_batch_request, encode_batch_response, encode_error_response, encode_outcome_payload,
+    encode_payload, encode_request, encode_reset_request, encode_route_request,
+    encode_route_response, encode_stats_request, encode_stats_response, read_frame, write_frame,
+    DegradationSummary, FrameError, DEFAULT_MAX_FRAME, MAX_WIRE_LEAVES, STATS_MINOR,
 };
 use cst::serve::{ErrorCode, ErrorFrame, Request, Response, ServeConfig, ServeShared, ServeStats, WorkerCore};
 use proptest::prelude::*;
@@ -240,6 +240,61 @@ fn golden_route_request_bytes() {
         0x00,                                           // no mask
     ];
     assert_eq!(buf, golden, "the wire format is a frozen contract; bump docs/SERVE.md to change it");
+}
+
+#[test]
+fn miss_payload_written_in_place_equals_encode_payload_over_serde_bytes() {
+    // A served miss writes its schedule JSON straight into the payload
+    // (`Schedule::write_json` behind a back-filled length prefix). Pin it
+    // to the ready-made form over serde's bytes, for the golden route
+    // request and for a masked request that drops communications.
+    let golden = CommSet::from_pairs(4, &[(0, 3), (1, 2)]);
+    for (set, mask) in [(golden, None), (sample_set(), Some(sample_mask()))] {
+        let mut body = Vec::new();
+        encode_route_request(&mut body, "csa", &set, mask.as_ref());
+        let mut core = WorkerCore::new(Arc::new(ServeShared::new(ServeConfig::default())));
+        let mut out = Vec::new();
+        core.handle_frame(&body, &mut out);
+        let Ok(Response::Route(reply)) = decode_response(&out) else {
+            panic!("expected a route response, got {:?}", decode_response(&out));
+        };
+        assert!(!reply.cached);
+
+        let topo = CstTopology::with_leaves(set.num_leaves());
+        let mut ctx = EngineCtx::new();
+        let o = match &mask {
+            Some(m) => ctx.route_masked(&Csa, &topo, &set, m),
+            None => ctx.route(&Csa, &topo, &set),
+        }
+        .unwrap();
+        let degradation = o.degradation.as_ref().map(|d| DegradationSummary {
+            total: d.total as u64,
+            routed: d.routed as u64,
+            rerouted: d.rerouted as u64,
+            dropped: d.dropped as u64,
+            extra_rounds: d.extra_rounds as u64,
+            dropped_ids: d.drops.iter().map(|x| x.comm as u64).collect(),
+        });
+        if mask.is_some() {
+            assert!(degradation.as_ref().is_some_and(|d| d.dropped > 0), "mask must drop");
+        }
+        let json = serde_json::to_string(&o.schedule).unwrap();
+        let mut reference = Vec::new();
+        encode_payload(
+            &mut reference,
+            o.router,
+            o.rounds as u64,
+            o.power.total_units,
+            o.power.max_units,
+            o.power.max_port_transitions,
+            degradation.as_ref(),
+            json.as_bytes(),
+        );
+        assert_eq!(reply.payload, reference);
+        let mut in_place = Vec::new();
+        encode_outcome_payload(&mut in_place, &o);
+        assert_eq!(in_place, reference);
+    }
 }
 
 #[test]
