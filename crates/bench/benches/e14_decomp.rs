@@ -16,7 +16,10 @@
 //! * `warm-cached/<n>`  — `route_general` on a cache-enabled context,
 //!   steady state: memo hit
 //!   plus per-layer schedule-cache hits plus pooled assembly (the
-//!   streaming figure; tests/alloc_gate.rs pins it allocation-free).
+//!   streaming figure; tests/alloc_gate.rs pins it allocation-free);
+//! * `pack/<n>`         — the composite packing pass alone
+//!   (`cst_decomp::Packer::pack`, in place) on a pooled copy of one
+//!   fixed routed concatenation; copying is not timed.
 //!
 //! Each size also prints `decompose`'s stage split (certificate /
 //! conflict graph / first-fit / DSATUR / iterated greedy / exact /
@@ -24,15 +27,17 @@
 //!
 //! `scripts/bench_smoke.sh` gates the id set, warm-cached ≤
 //! route-layers, and — from the checked-in `BENCH_e14.json` —
-//! decompose/4096 ≤ route-layers/4096 and certificate/1024 ≤
-//! decompose/1024 ÷ 3.
+//! decompose/4096 ≤ route-layers/4096, certificate/1024 ≤
+//! decompose/1024 ÷ 3 and pack/1024 ≤ route-layers/1024 ÷ 10.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use cst_comm::{Schedule, SchedulePool};
 use cst_core::CstTopology;
-use cst_decomp::{certificate, decompose, decompose_timed, DecompTimings};
+use cst_decomp::{append_layer, certificate, decompose, decompose_timed, DecompTimings, Packer};
 use cst_engine::{Csa, EngineCtx};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 
 fn bench_e14(c: &mut Criterion) {
     let mut group = c.benchmark_group("e14_decomp");
@@ -60,12 +65,15 @@ fn bench_e14(c: &mut Criterion) {
         let mut ctx = EngineCtx::new();
         let out = ctx.route_general(&Csa, &topo, &gset).unwrap();
         eprintln!(
-            "e14 n={n}: {} pairs -> {} layers (bound {}{}), {} rounds, {} power units",
+            "e14 n={n}: {} pairs -> {} layers (bound {}{}), {} rounds (bound {}, layered {}), \
+             {} power units",
             gset.len(),
             out.num_layers,
             out.lower_bound,
             if out.proven_optimal { ", optimal" } else { "" },
             out.rounds,
+            out.rounds_lower_bound,
+            out.layer_rounds.iter().sum::<usize>(),
             out.power.total_units,
         );
         ctx.recycle_general(out);
@@ -92,6 +100,46 @@ fn bench_e14(c: &mut Criterion) {
                 cached_ctx.recycle_general(out);
                 std::hint::black_box(rounds)
             })
+        });
+
+        // The concatenation `route_general` packs, routed once.
+        let d = decompose(&gset);
+        let mut concat = Schedule::default();
+        let mut layer_rounds = Vec::new();
+        for (ids, set) in d.layers.iter().zip(&d.layer_sets) {
+            let mut out = ctx.route(&Csa, &topo, set).unwrap();
+            layer_rounds.push(out.rounds);
+            append_layer(&mut concat, ids, &mut out.schedule);
+            ctx.recycle(out);
+        }
+        // Copies come from a pool the packed schedules go back to, so
+        // shells keep their capacity as in a warm engine context.
+        let (mut packer, mut layer_round) = (Packer::new(), Vec::new());
+        let pool = RefCell::new(SchedulePool::new());
+        let spent = RefCell::new(None);
+        group.bench_with_input(BenchmarkId::new("pack", n), &n, |b, _| {
+            b.iter_batched(
+                || {
+                    let mut pool = pool.borrow_mut();
+                    if let Some(schedule) = spent.take() {
+                        pool.put_schedule(schedule);
+                    }
+                    pool.copy_schedule(&concat)
+                },
+                |mut composite| {
+                    let mut pool = pool.borrow_mut();
+                    packer.pack(
+                        &topo,
+                        &gset,
+                        &mut composite,
+                        &layer_rounds,
+                        &mut layer_round,
+                        &mut pool,
+                    );
+                    spent.replace(Some(composite));
+                },
+                BatchSize::LargeInput,
+            )
         });
     }
 

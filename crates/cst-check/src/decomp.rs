@@ -7,9 +7,11 @@
 //! * **CST300** — every layer is conflict-free: no two member pairs
 //!   cross or share an endpoint, so the layer is a legal well-nested
 //!   `CommSet`;
-//! * **CST301** — the bands tile the composite: `layer_rounds` sums to
-//!   the composite's round count and every round in layer `j`'s band
-//!   schedules only layer `j`'s pairs;
+//! * **CST301** — every packed round is legal: no two of its pairs
+//!   share a directed link or a PE, its switch settings are exactly the
+//!   union of its pairs' circuits, and the composite is no longer than
+//!   its layers back to back (`rounds <= Σ layer_rounds`, one count per
+//!   layer);
 //! * **CST302** — the layers partition the input: every input pair id
 //!   sits in exactly one layer, the materialized layer sets mirror the
 //!   id lists, and the composite schedules each pair exactly once;
@@ -20,14 +22,15 @@
 //!
 //! Like every pass here this is structural: it never re-runs the
 //! decomposition, so it audits artifacts from any producer (the engine,
-//! a replay file, a foreign tool). Round-level legality of each band is
-//! [`crate::analyze`]'s job on the sliced layer (see
-//! `cst_decomp::slice_layer`).
+//! a replay file, a foreign tool). Each layer's own schedule, rebuilt
+//! from provenance by `cst_decomp::layer_schedule`, is
+//! [`crate::analyze`]'s job.
 
 use cst_comm::{CommId, Schedule};
 use cst_core::diag::{DiagCode, DiagReport, Diagnostic};
-use cst_core::{CstTopology, GeneralCommSet};
+use cst_core::{Circuit, Connection, CstTopology, DirectedLink, GeneralCommSet};
 use cst_decomp::Decomposition;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Audit the composition invariants of one layered routing artifact.
 pub fn check_decomposition(
@@ -151,44 +154,38 @@ pub fn check_decomposition(
         }
     }
 
-    // --- CST301: the bands tile the composite -------------------------
+    // --- CST301: every packed round is legal ------------------------
+    check_packed_rounds(topo, gset, composite, &mut report);
     if layer_rounds.len() != decomp.layers.len() {
         report.push(Diagnostic::new(
             DiagCode::LayerRoundOverlap,
-            format!("{} round bands for {} layers", layer_rounds.len(), decomp.layers.len()),
+            format!("{} layer round counts for {} layers", layer_rounds.len(), decomp.layers.len()),
         ));
     }
-    let banded: usize = layer_rounds.iter().sum();
-    if banded != composite.num_rounds() {
+    let layered: usize = layer_rounds.iter().sum();
+    if composite.num_rounds() > layered {
         report.push(Diagnostic::new(
             DiagCode::LayerRoundOverlap,
-            format!("bands cover {banded} rounds, composite has {}", composite.num_rounds()),
+            format!(
+                "composite has {} rounds, more than the {layered} its layers take back to back",
+                composite.num_rounds()
+            ),
         ));
     }
-    let mut offset = 0usize;
-    for (j, &band) in layer_rounds.iter().enumerate() {
-        let end = (offset + band).min(composite.rounds.len());
-        for r in offset..end {
-            for &CommId(i) in &composite.rounds[r].comms {
-                if i >= m || decomp.layer_of.get(i) != Some(&j) {
-                    report.push(
-                        Diagnostic::new(
-                            DiagCode::LayerRoundOverlap,
-                            format!("round {r} sits in layer {j}'s band but schedules pair #{i}"),
-                        )
-                        .with_round(r)
-                        .with_comm(i),
-                    );
-                }
-            }
-        }
-        offset += band;
-    }
     let mut scheduled = vec![0usize; m];
-    for round in &composite.rounds {
+    for (r, round) in composite.rounds.iter().enumerate() {
         for &CommId(i) in &round.comms {
             if i < m {
                 scheduled[i] += 1;
+            } else {
+                report.push(
+                    Diagnostic::new(
+                        DiagCode::DecompCoverage,
+                        format!("round {r} schedules pair #{i}, past the {m} input pairs"),
+                    )
+                    .with_round(r)
+                    .with_comm(i),
+                );
             }
         }
     }
@@ -268,4 +265,78 @@ pub fn check_decomposition(
         ));
     }
     report
+}
+
+/// CST301 proper: within each round no two members share a directed link
+/// or a PE, and the round's switch settings are exactly the union of its
+/// members' circuits (rebuilt here with [`Circuit::right_oriented`], not
+/// the producer's walk). Members past the input are CST302's to report.
+fn check_packed_rounds(
+    topo: &CstTopology,
+    gset: &GeneralCommSet,
+    composite: &Schedule,
+    report: &mut DiagReport,
+) {
+    let pairs = gset.pairs();
+    let n = topo.num_leaves();
+    let overlap = |message: String, r: usize| {
+        Diagnostic::new(DiagCode::LayerRoundOverlap, message).with_round(r)
+    };
+    for (r, round) in composite.rounds.iter().enumerate() {
+        // Claimant of each directed link and PE, and every setting asked for.
+        let mut links: BTreeMap<DirectedLink, usize> = BTreeMap::new();
+        let mut pes: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut wanted: BTreeMap<(usize, Connection), usize> = BTreeMap::new();
+        for &CommId(i) in &round.comms {
+            let Some(&(s, d)) = pairs.get(i) else { continue };
+            if s.0 >= d.0 || d.0 >= n {
+                continue; // not a pair of this topology: CST302's leaf-count finding
+            }
+            for pe in [s.0, d.0] {
+                if let Some(j) = pes.insert(pe, i) {
+                    report.push(
+                        overlap(format!("round {r}: pairs #{j} and #{i} share PE {pe}"), r)
+                            .with_comm(j)
+                            .with_comm(i),
+                    );
+                }
+            }
+            let circuit = Circuit::right_oriented(topo, s, d);
+            for &link in &circuit.links {
+                if let Some(j) = links.insert(link, i) {
+                    report.push(
+                        overlap(format!("round {r}: pairs #{j} and #{i} share link {link}"), r)
+                            .with_comm(j)
+                            .with_comm(i),
+                    );
+                }
+            }
+            for &(node, conn) in &circuit.settings {
+                wanted.entry((node.0, conn)).or_insert(i);
+            }
+        }
+        let mut held: BTreeSet<(usize, Connection)> = BTreeSet::new();
+        for (node, conn) in round.configs.requirements() {
+            held.insert((node.0, conn));
+            if !wanted.contains_key(&(node.0, conn)) {
+                report.push(overlap(
+                    format!(
+                        "round {r}: switch {node} holds {conn}, which no member's circuit needs"
+                    ),
+                    r,
+                ));
+            }
+        }
+        for (&(node, conn), &i) in &wanted {
+            if !held.contains(&(node, conn)) {
+                report.push(
+                    overlap(
+                        format!("round {r}: pair #{i} needs {conn} at switch {node}, absent from the round's settings"),
+                        r,
+                    )
+                    .with_comm(i),
+                );
+            }
+        }
+    }
 }

@@ -323,14 +323,23 @@ pub fn corrupted(m: Mutation) -> Fixture {
     f
 }
 
-/// One corruption per `CST3xx` decomposition-audit class (the third
+/// One corruption per `CST3xx` decomposition-audit invariant (the third
 /// harness, alongside [`Mutation`] and `cst-model`'s `TraceMutation`).
+/// `CST301` guards several packed-round invariants, so it has several.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DecompMutation {
     /// Two conflicting pairs forced into one layer (`CST300`).
     LayerConflict,
-    /// A pair's round moved into another layer's band (`CST301`).
-    BandLeak,
+    /// Two pairs sharing a directed link in one round (`CST301`).
+    SharedLink,
+    /// Two pairs sharing a PE in one round (`CST301`).
+    SharedPe,
+    /// A switch setting no member's circuit asks for (`CST301`).
+    ForeignSetting,
+    /// A member's switch setting dropped from its round (`CST301`).
+    MissingSetting,
+    /// More rounds than the layers take back to back (`CST301`).
+    ExtraRound,
     /// A pair deleted from its layer and the composite (`CST302`).
     CoverageGap,
     /// The claimed lower bound inflated past its witness (`CST303`).
@@ -339,9 +348,13 @@ pub enum DecompMutation {
 
 impl DecompMutation {
     /// Every decomposition mutation, in code order.
-    pub const ALL: [DecompMutation; 4] = [
+    pub const ALL: [DecompMutation; 8] = [
         DecompMutation::LayerConflict,
-        DecompMutation::BandLeak,
+        DecompMutation::SharedLink,
+        DecompMutation::SharedPe,
+        DecompMutation::ForeignSetting,
+        DecompMutation::MissingSetting,
+        DecompMutation::ExtraRound,
         DecompMutation::CoverageGap,
         DecompMutation::BogusCertificate,
     ];
@@ -350,7 +363,11 @@ impl DecompMutation {
     pub fn expected_code(self) -> DiagCode {
         match self {
             DecompMutation::LayerConflict => DiagCode::LayerNotWellNested,
-            DecompMutation::BandLeak => DiagCode::LayerRoundOverlap,
+            DecompMutation::SharedLink
+            | DecompMutation::SharedPe
+            | DecompMutation::ForeignSetting
+            | DecompMutation::MissingSetting
+            | DecompMutation::ExtraRound => DiagCode::LayerRoundOverlap,
             DecompMutation::CoverageGap => DiagCode::DecompCoverage,
             DecompMutation::BogusCertificate => DiagCode::CertificateViolation,
         }
@@ -358,7 +375,8 @@ impl DecompMutation {
 }
 
 /// A complete decomposition-audit subject: the general set, its claimed
-/// decomposition, and the composite schedule with its round bands.
+/// decomposition, the composite schedule and each layer's standalone
+/// round count.
 #[derive(Clone, Debug)]
 pub struct DecompFixture {
     pub topo: CstTopology,
@@ -373,16 +391,28 @@ pub fn run_decomp(f: &DecompFixture) -> DiagReport {
     crate::decomp::check_decomposition(&f.topo, &f.gset, &f.decomp, &f.composite, &f.layer_rounds)
 }
 
-fn bands_of(decomp: &cst_decomp::Decomposition) -> Schedule {
-    let rounds = decomp
-        .layers
-        .iter()
-        .map(|ids| Round {
-            comms: ids.iter().map(|&i| CommId(i)).collect(),
-            configs: RoundConfigs::new(),
-        })
-        .collect();
-    Schedule { rounds }
+/// A round scheduling input pairs `ids`, its settings the union of their
+/// circuits (the first writer wins where two collide at one switch).
+fn packed_round(topo: &CstTopology, gset: &cst_core::GeneralCommSet, ids: &[usize]) -> Round {
+    let mut configs = RoundConfigs::new();
+    for &i in ids {
+        let (s, d) = gset.pairs()[i];
+        for (node, c) in Circuit::right_oriented(topo, s, d).settings {
+            let _ = configs.entry_mut(node).set(c);
+        }
+    }
+    Round { comms: ids.iter().map(|&i| CommId(i)).collect(), configs }
+}
+
+/// One round per pair, in layer order — legal for any decomposition —
+/// and each layer's standalone round count.
+fn one_pair_per_round(
+    topo: &CstTopology,
+    gset: &cst_core::GeneralCommSet,
+    decomp: &cst_decomp::Decomposition,
+) -> (Schedule, Vec<usize>) {
+    let rounds = decomp.layers.iter().flatten().map(|&i| packed_round(topo, gset, &[i])).collect();
+    (Schedule { rounds }, decomp.layers.iter().map(Vec::len).collect())
 }
 
 fn layer_set_of(gset: &cst_core::GeneralCommSet, ids: &[usize]) -> CommSet {
@@ -396,32 +426,57 @@ fn layer_set_of(gset: &cst_core::GeneralCommSet, ids: &[usize]) -> CommSet {
     CommSet::from_pairs(gset.num_leaves(), &pairs)
 }
 
-/// The known-clean decomposition baseline: a hotspot pair plus a
-/// crossing on 8 PEs — two layers, endpoint bound 2, provably minimal.
-/// Each layer's band is one round scheduling the whole layer (the audit
-/// is structural; round legality is [`crate::analyze`]'s job).
+/// Position of the composite round scheduling input pair `i`.
+fn round_holding(f: &DecompFixture, i: usize) -> usize {
+    f.composite.rounds.iter().position(|r| r.comms.contains(&CommId(i))).unwrap_or(0)
+}
+
+/// The known-clean decomposition baseline on 8 PEs: pairs 0 = (0,3),
+/// 1 = (0,5), 2 = (1,4) and 3 = (6,7). Pair 0 conflicts with 1 (PE 0)
+/// and 2 (crossing); 1 and 2 nest; 3 is disjoint from all. Two layers,
+/// endpoint bound 2, provably minimal. The composite packs pair 3 into
+/// pair 0's round: three rounds against the four the layers take back to
+/// back (the audit is structural; each layer's own schedule is
+/// [`crate::analyze`]'s job).
 pub fn clean_decomp_fixture() -> DecompFixture {
     let topo = CstTopology::with_leaves(8);
-    // id 0 = (0,3), id 1 = (0,5), id 2 = (1,4): 0 conflicts with both
-    // (endpoint 0, crossing 1–4), 1 and 2 nest.
-    let gset = cst_core::GeneralCommSet::from_pairs(8, &[(0, 3), (0, 5), (1, 4)]);
+    let gset = cst_core::GeneralCommSet::from_pairs(8, &[(0, 3), (0, 5), (1, 4), (6, 7)]);
     let decomp = cst_decomp::decompose(&gset);
     assert_eq!(decomp.num_layers(), 2, "fixture decomposes to two layers");
     assert_eq!(decomp.lower_bound, 2, "leaf 0 carries two pairs");
-    let composite = bands_of(&decomp);
-    let layer_rounds = vec![1; decomp.num_layers()];
+    let (mut composite, layer_rounds) = one_pair_per_round(&topo, &gset, &decomp);
+    let three = composite.rounds.iter().position(|r| r.comms == [CommId(3)]).unwrap_or(0);
+    composite.rounds.remove(three);
+    let zero = composite.rounds.iter().position(|r| r.comms == [CommId(0)]).unwrap_or(0);
+    composite.rounds[zero] = packed_round(&topo, &gset, &[0, 3]);
     DecompFixture { topo, gset, decomp, composite, layer_rounds }
 }
 
 /// The clean decomposition fixture with exactly one corruption applied.
 pub fn corrupted_decomp(m: DecompMutation) -> DecompFixture {
     let mut f = clean_decomp_fixture();
+    // Move pair `b` into pair `a`'s round: every pair still runs once
+    // and no round is added; only the joined round is illegal.
+    let join = |f: &mut DecompFixture, a: usize, b: usize| {
+        let ids = |round: &Round, drop: usize| -> Vec<usize> {
+            round.comms.iter().map(|c| c.0).filter(|&i| i != drop).collect()
+        };
+        let (ra, rb) = (round_holding(f, a), round_holding(f, b));
+        let mut joined = ids(&f.composite.rounds[ra], b);
+        joined.push(b);
+        let left = ids(&f.composite.rounds[rb], b);
+        f.composite.rounds[ra] = packed_round(&f.topo, &f.gset, &joined);
+        f.composite.rounds[rb] = packed_round(&f.topo, &f.gset, &left);
+        if left.is_empty() {
+            f.composite.rounds.remove(rb);
+        }
+    };
     match m {
         DecompMutation::LayerConflict => {
             // Move pair #2 = (1,4) into pair #0 = (0,3)'s layer: they
             // cross (0 < 1 < 3 < 4) but keep unique endpoints, so the
             // mutated layer still materializes as a CommSet and every
-            // partition/band invariant stays intact — only the
+            // partition/round invariant stays intact — only the
             // conflict-freedom of the layer is at fault.
             let from = f.decomp.layer_of[2];
             let to = f.decomp.layer_of[0];
@@ -432,24 +487,39 @@ pub fn corrupted_decomp(m: DecompMutation) -> DecompFixture {
             for j in [from, to] {
                 f.decomp.layer_sets[j] = layer_set_of(&f.gset, &f.decomp.layers[j]);
             }
-            f.composite = bands_of(&f.decomp);
+            (f.composite, f.layer_rounds) = one_pair_per_round(&f.topo, &f.gset, &f.decomp);
         }
-        DecompMutation::BandLeak => {
-            // Reschedule pair #0 in the other layer's band round. Every
-            // pair still runs exactly once (coverage is clean); only the
-            // band structure lies.
-            let home = f.decomp.layer_of[0];
-            let foreign = 1 - home;
-            f.composite.rounds[home].comms.retain(|&CommId(i)| i != 0);
-            f.composite.rounds[foreign].comms.push(CommId(0));
+        // (0,5) and (1,4) both climb out of switch 4 into switch 2.
+        DecompMutation::SharedLink => join(&mut f, 1, 2),
+        // (0,3) and (0,5) share PE 0 (and the leaf's link).
+        DecompMutation::SharedPe => join(&mut f, 1, 0),
+        DecompMutation::ForeignSetting => {
+            // Switch 7 (above leaves 6, 7) is idle in pair 1's round.
+            let r = round_holding(&f, 1);
+            let _ = f.composite.rounds[r].configs.entry_mut(NodeId(7)).set(Connection::L_TO_R);
+        }
+        DecompMutation::MissingSetting => {
+            let r = round_holding(&f, 1);
+            let configs = &mut f.composite.rounds[r].configs;
+            let kept: Vec<_> = configs.iter().skip(1).map(|(n, c)| (n, *c)).collect();
+            *configs = RoundConfigs::from_entries(kept);
+        }
+        DecompMutation::ExtraRound => {
+            // Unpack pair 3 into two idle rounds of its own: five rounds
+            // where the layers back to back take four.
+            let zero = round_holding(&f, 0);
+            f.composite.rounds[zero] = packed_round(&f.topo, &f.gset, &[0]);
+            f.composite.rounds.push(packed_round(&f.topo, &f.gset, &[3]));
+            f.composite.rounds.push(Round::default());
         }
         DecompMutation::CoverageGap => {
-            // Delete pair #2 from its layer, its materialized set and
-            // its band round: the layers no longer partition the input.
+            // Delete pair #2 from its layer, its materialized set and the
+            // composite: the layers no longer partition the input.
             let j = f.decomp.layer_of[2];
             f.decomp.layers[j].retain(|&i| i != 2);
             f.decomp.layer_sets[j] = layer_set_of(&f.gset, &f.decomp.layers[j]);
-            f.composite.rounds[j].comms.retain(|&CommId(i)| i != 2);
+            let r = round_holding(&f, 2);
+            f.composite.rounds.remove(r);
         }
         DecompMutation::BogusCertificate => {
             // Claim a bound of 3 with a 2-member witness: the witness no
@@ -482,13 +552,12 @@ mod tests {
     }
 
     #[test]
-    fn decomp_mutations_cover_cst3xx_distinctly() {
+    fn decomp_mutations_cover_cst3xx() {
         let mut codes: Vec<_> = DecompMutation::ALL.iter().map(|m| m.expected_code()).collect();
         codes.sort_by_key(|c| c.as_str());
         codes.dedup();
-        assert_eq!(codes.len(), DecompMutation::ALL.len());
-        assert!(codes.iter().all(|c| c.is_decomp()));
-        assert_eq!(codes.len(), DiagCode::ALL.iter().filter(|c| c.is_decomp()).count());
+        let cst3xx: Vec<_> = DiagCode::ALL.iter().copied().filter(|c| c.is_decomp()).collect();
+        assert_eq!(codes, cst3xx);
     }
 
     #[test]
@@ -500,6 +569,31 @@ mod tests {
     fn clean_decomp_fixture_is_clean() {
         let report = run_decomp(&clean_decomp_fixture());
         assert!(report.is_clean(), "{}", report.render_text());
+    }
+
+    #[test]
+    fn packed_round_mutations_name_their_finding() {
+        for (m, finding) in [
+            (DecompMutation::SharedLink, "share link"),
+            (DecompMutation::SharedPe, "share PE"),
+            (DecompMutation::ForeignSetting, "which no member's circuit needs"),
+            (DecompMutation::MissingSetting, "absent from the round's settings"),
+            (DecompMutation::ExtraRound, "back to back"),
+        ] {
+            let report = run_decomp(&corrupted_decomp(m));
+            assert!(
+                report.errors().any(|d| d.message.contains(finding)),
+                "{m:?} must report {finding:?}:\n{}",
+                report.render_text()
+            );
+        }
+    }
+
+    #[test]
+    fn clean_decomp_fixture_packs_across_layers() {
+        let f = clean_decomp_fixture();
+        assert_eq!(f.composite.num_rounds(), 3);
+        assert_eq!(f.layer_rounds.iter().sum::<usize>(), 4);
     }
 
     #[test]

@@ -120,9 +120,10 @@ pub enum DiagCode {
     /// set with unique endpoints (the Definition 1 precondition every
     /// layer must restore before routing).
     LayerNotWellNested,
-    /// CST301 — a composite schedule mixes layers across round bands: a
-    /// communication appears outside its own layer's contiguous rounds, or
-    /// the bands do not tile the schedule.
+    /// CST301 — a packed composite round is illegal: two of its pairs
+    /// share a directed link or a PE, its switch settings are not exactly
+    /// the union of its pairs' circuits, or the composite is longer than
+    /// its layers back to back.
     LayerRoundOverlap,
     /// CST302 — coverage accounting broken: the layers are not a partition
     /// of the input set (`Σ layer comms != input comms`).
@@ -266,7 +267,7 @@ impl DiagCode {
             DiagCode::ModelTransitionSkipped => "model-complete-sweep",
             DiagCode::ModelMatchAccounting => "model-match-accounting",
             DiagCode::LayerNotWellNested => "decomp-layers-well-nested",
-            DiagCode::LayerRoundOverlap => "decomp-bands-tile-schedule",
+            DiagCode::LayerRoundOverlap => "decomp-packed-rounds-legal",
             DiagCode::DecompCoverage => "decomp-layers-partition-input",
             DiagCode::CertificateViolation => "decomp-certificate-sound",
         }

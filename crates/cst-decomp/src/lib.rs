@@ -6,7 +6,10 @@
 //! a [`cst_core::GeneralCommSet`] is split into a small number of
 //! *layers*, each of which is a legal [`cst_comm::CommSet`], and the
 //! layers are routed back to back by the engine (`cst-engine`'s
-//! `route_general`), their schedules concatenated into one composite.
+//! `route_general`), their schedules concatenated into one composite,
+//! and the composite is packed toward the congestion bound ([`Packer`]):
+//! each communication moves to the earliest round where its directed
+//! links and PEs are free.
 //!
 //! Two pairs can share a layer iff they neither **cross** (partial
 //! interval overlap — the well-nestedness obstruction) nor **share an
@@ -42,11 +45,13 @@ mod assemble;
 mod certificate;
 mod graph;
 mod layering;
+mod pack;
 
-pub use assemble::{append_layer, slice_layer};
+pub use assemble::{append_layer, layer_schedule};
 pub use certificate::{certificate, Certificate};
 pub use graph::DENSE_LIMIT;
 pub use layering::{
     decompose, decompose_timed, DecompTimings, Decomposition, DSATUR_LIMIT, EXACT_LIMIT,
     STRONG_BOUND_LIMIT,
 };
+pub use pack::Packer;

@@ -57,6 +57,9 @@ pub struct EngineCtx {
     /// (returned by [`EngineCtx::recycle_general`]).
     pub(crate) layer_rounds_scratch: Vec<usize>,
     pub(crate) layer_power_scratch: Vec<u64>,
+    pub(crate) layer_round_scratch: Vec<u32>,
+    /// Scratch of the composite packing pass.
+    pub(crate) packer: cst_decomp::Packer,
 }
 
 impl EngineCtx {

@@ -6,18 +6,24 @@
 //! ordinary [`EngineCtx::route`] (so layers flow through the
 //! [`crate::ScheduleCache`] once the context has enabled it), and the per-layer
 //! schedules are concatenated into one composite whose `CommId`s are the
-//! *input pair ids* of the general set.
+//! *input pair ids* of the general set. The concatenation is then packed
+//! toward the congestion bound ([`cst_decomp::Packer`]): each
+//! communication, in composite order, moves into the earliest round
+//! where its directed links and PEs are free, so the composite takes at
+//! most `Σ layer_rounds` rounds and usually exactly the bound.
 //!
-//! Power accounting is two-sided: `power` re-meters the composite as one
-//! continuous schedule (hold semantics run across layer boundaries, the
-//! same accounting the `layered` router uses), while `layer_power_units`
-//! records each layer's standalone total so callers can attribute cost.
+//! Power accounting is two-sided: `power` meters the packed composite as
+//! one continuous schedule (hold semantics run across round boundaries,
+//! the same accounting the `layered` router uses), while
+//! `layer_power_units` records each layer's standalone total so callers
+//! can attribute cost.
 //!
 //! The warm path is allocation-free (asserted by `tests/alloc_gate.rs`):
 //! a repeated request hits the context's decomposition memo (skipping
 //! the layering pass), every layer hits the schedule cache, the
-//! composite is assembled from pooled round shells, and the accounting
-//! vectors are recycled through [`EngineCtx::recycle_general`].
+//! composite is assembled from pooled round shells and packed in place
+//! on warm scratch, and the accounting vectors are recycled through
+//! [`EngineCtx::recycle_general`].
 
 use crate::ctx::EngineCtx;
 use crate::outcome::RouteExtra;
@@ -42,15 +48,21 @@ pub(crate) struct GeneralMemo {
 pub struct GeneralOutcome {
     /// Registry name of the per-layer router.
     pub router: &'static str,
-    /// Composite schedule; `CommId(i)` is input pair id `i` of the
-    /// general set, and layer `j` occupies the contiguous round band
-    /// starting at `layer_rounds[..j].sum()`.
+    /// Packed composite schedule; `CommId(i)` is input pair id `i` of
+    /// the general set. Layers are interleaved: a round may hold pairs of
+    /// several layers, each round's switch settings are the union of its
+    /// members' circuits, and `layer_round` records where each pair ran
+    /// inside its own layer's schedule.
     pub schedule: Schedule,
-    /// Total rounds (`== schedule.num_rounds()`).
+    /// Total rounds (`== schedule.num_rounds()`), between
+    /// `rounds_lower_bound` and `layer_rounds.iter().sum()`.
     pub rounds: usize,
-    /// Composite power, metered across layer boundaries (hold
-    /// connections persisting from one layer's last round into the
-    /// next layer's first are charged once, like any other round pair).
+    /// Congestion bound: max(max directed-link load, max PE degree) over
+    /// the whole set. No schedule has fewer rounds, so `rounds ==
+    /// rounds_lower_bound` proves the composite time-optimal.
+    pub rounds_lower_bound: usize,
+    /// Composite power, metered on the packed schedule (hold connections
+    /// persisting from one round into the next are charged once).
     pub power: PowerReport,
     /// How many layers the decomposition produced.
     pub num_layers: usize,
@@ -59,11 +71,15 @@ pub struct GeneralOutcome {
     /// `num_layers` is provably minimal (greedy met the bound, or the
     /// exact search settled it at small sizes).
     pub proven_optimal: bool,
-    /// Rounds contributed by each layer, in layer order.
+    /// Each layer's standalone round count, in layer order; their sum is
+    /// the concatenated length the packing started from.
     pub layer_rounds: Vec<usize>,
-    /// Each layer's standalone power total (metered fresh per layer;
-    /// their sum differs from `power.total_units` exactly by the
-    /// connections held across layer boundaries).
+    /// Provenance: `layer_round[i]` is input pair `i`'s round inside its
+    /// own layer's schedule (see [`cst_decomp::layer_schedule`]).
+    pub layer_round: Vec<u32>,
+    /// Each layer's standalone power total (metered fresh per layer), to
+    /// attribute cost; packing interleaves the layers, so the sum is not
+    /// tied to `power.total_units`.
     pub layer_power_units: Vec<u64>,
     /// How many layers were served from the schedule cache.
     pub cached_layers: usize,
@@ -77,7 +93,7 @@ pub struct GeneralOutcome {
 
 impl EngineCtx {
     /// Route an arbitrary communication set: decompose into well-nested
-    /// layers, route each with `router`, concatenate. The decomposition
+    /// layers, route each with `router`, concatenate, pack. The decomposition
     /// memo is always consulted; each layer also goes through the
     /// schedule cache once [`EngineCtx::enable_cache`] has run, so a warm
     /// repeat request re-decomposes nothing and re-schedules nothing.
@@ -102,7 +118,7 @@ impl EngineCtx {
         let mut failure: Option<CstError> = None;
 
         for (ids, set) in memo.decomp.layers.iter().zip(&memo.decomp.layer_sets) {
-            let out = match self.route(router, topo, set) {
+            let mut out = match self.route(router, topo, set) {
                 Ok(out) => out,
                 Err(e) => {
                     failure = Some(e);
@@ -114,7 +130,7 @@ impl EngineCtx {
             }
             layer_rounds.push(out.rounds);
             layer_power.push(out.power.total_units);
-            cst_decomp::append_layer(&mut composite, &mut self.pool, ids, &out.schedule);
+            cst_decomp::append_layer(&mut composite, ids, &mut out.schedule);
             self.recycle(out);
         }
 
@@ -130,17 +146,28 @@ impl EngineCtx {
             return Err(e);
         }
 
+        let mut layer_round = std::mem::take(&mut self.layer_round_scratch);
+        self.packer.pack(
+            topo,
+            gset,
+            &mut composite,
+            &layer_rounds,
+            &mut layer_round,
+            &mut self.pool,
+        );
         let power = self.meter_schedule(topo, &composite);
         let rounds = composite.num_rounds();
         Ok(GeneralOutcome {
             router: router.name(),
             schedule: composite,
             rounds,
+            rounds_lower_bound: self.packer.rounds_lower_bound(),
             power,
             num_layers,
             lower_bound,
             proven_optimal,
             layer_rounds,
+            layer_round,
             layer_power_units: layer_power,
             cached_layers,
             memo_hit: decomp_timings.is_none(),
@@ -156,6 +183,7 @@ impl EngineCtx {
         self.pool.put_schedule(outcome.schedule);
         self.layer_rounds_scratch = outcome.layer_rounds;
         self.layer_power_scratch = outcome.layer_power_units;
+        self.layer_round_scratch = outcome.layer_round;
     }
 
     /// The decomposition backing the last general request, or — after
@@ -211,7 +239,8 @@ mod tests {
         assert_eq!(scheduled_ids(&out.schedule), vec![0, 1, 2, 3]);
         assert_eq!(out.rounds, out.schedule.num_rounds());
         assert_eq!(out.layer_rounds.len(), out.num_layers);
-        assert_eq!(out.layer_rounds.iter().sum::<usize>(), out.rounds);
+        assert!(out.rounds_lower_bound <= out.rounds);
+        assert!(out.rounds <= out.layer_rounds.iter().sum::<usize>());
         assert!(out.lower_bound >= 2, "leaf 0 carries two pairs");
         assert!(out.num_layers >= out.lower_bound);
         assert_eq!(out.router, "csa");

@@ -73,10 +73,12 @@
 //! `--pes`, `--pairs`, `--seed`) is routed through
 //! `EngineCtx::route_general` on a cache-enabled context with `--router`
 //! (default `csa`) per layer; every composite is audited with the `CST3xx` decomposition
-//! pass, each sliced layer with the static analyzer and the reference
-//! model's schedule conformance. `--report` prints the machine-readable
-//! JSON summary — layer counts vs. the certificate lower bound, proven-
-//! optimal tallies, cache counters — with no timing fields, so identical
+//! pass, each layer (rebuilt from provenance) with the static analyzer
+//! and the reference model's schedule conformance. `--report` prints the
+//! machine-readable JSON summary — layer counts vs. the certificate lower
+//! bound, packed rounds vs. the congestion bound and the layers' back-to-
+//! back total, proven-optimal tallies, cache counters — with no timing
+//! fields, so identical
 //! flags print identical bytes (gated in scripts/ci.sh against
 //! `scripts/decomp_golden.json`). Exit 0 iff every audit is clean, 1 on
 //! findings, 2 usage.
@@ -727,6 +729,8 @@ struct DecompRow {
     lower_bound: usize,
     proven_optimal: bool,
     rounds: usize,
+    rounds_lower_bound: usize,
+    layered_rounds: usize,
     power_units: u64,
     cached_layers: usize,
     audit_errors: usize,
@@ -746,6 +750,7 @@ struct DecompReport {
     proven_optimal: usize,
     total_layers: usize,
     total_lower_bound: usize,
+    rounds_at_bound: usize,
     cache_hits: u64,
     cache_misses: u64,
     rows: Vec<DecompRow>,
@@ -753,8 +758,8 @@ struct DecompReport {
 
 /// Seeded sweep of arbitrary (non-well-nested) sets through the layered
 /// decomposition front-end, with the full three-stage audit per request:
-/// `CST3xx` composition pass, static analysis of every sliced layer, and
-/// reference-model schedule conformance of every sliced layer.
+/// `CST3xx` composition pass, then static analysis and reference-model
+/// schedule conformance of every layer, rebuilt from provenance.
 fn run_decomp_sweep(args: &[String]) {
     use rand::SeedableRng;
     let requests: usize = typed_flag(args, "--requests", 9);
@@ -809,15 +814,19 @@ fn run_decomp_sweep(args: &[String]) {
             }
         };
         // The memo still holds this request's decomposition; audit the
-        // composite against it, then each sliced layer on its own.
+        // composite against it, then each layer's own schedule, rebuilt
+        // from provenance (no routing, so the cache counters stay put).
         let decomp = ctx.decomposition_for(&gset);
         let mut audit =
             cst_check::check_decomposition(&topo, &gset, decomp, &out.schedule, &out.layer_rounds);
-        let mut offset = 0usize;
         for (j, layer_set) in decomp.layer_sets.iter().enumerate() {
-            let band = out.layer_rounds[j];
-            let layer = cst_decomp::slice_layer(&out.schedule, offset, band, &decomp.layers[j]);
-            offset += band;
+            let layer = cst_decomp::layer_schedule(
+                &topo,
+                &gset,
+                &decomp.layers[j],
+                &out.layer_round,
+                out.layer_rounds[j],
+            );
             audit.merge(cst_check::analyze(&topo, layer_set, &layer, &layer_options));
             audit.merge(cst_model::conform_schedule(layer_set, &layer, &[]));
         }
@@ -832,6 +841,8 @@ fn run_decomp_sweep(args: &[String]) {
             lower_bound: out.lower_bound,
             proven_optimal: out.proven_optimal,
             rounds: out.rounds,
+            rounds_lower_bound: out.rounds_lower_bound,
+            layered_rounds: out.layer_rounds.iter().sum(),
             power_units: out.power.total_units,
             cached_layers: out.cached_layers,
             audit_errors: audit.error_count(),
@@ -851,6 +862,7 @@ fn run_decomp_sweep(args: &[String]) {
         proven_optimal: rows.iter().filter(|r| r.proven_optimal).count(),
         total_layers: rows.iter().map(|r| r.layers).sum(),
         total_lower_bound: rows.iter().map(|r| r.lower_bound).sum(),
+        rounds_at_bound: rows.iter().filter(|r| r.rounds == r.rounds_lower_bound).count(),
         cache_hits: stats.hits,
         cache_misses: stats.misses,
         rows,
@@ -871,13 +883,15 @@ fn run_decomp_sweep(args: &[String]) {
         for (i, r) in report.rows.iter().enumerate() {
             println!(
                 "  #{i:<2} {:<9} {:>3} pairs -> {:>2} layers (bound {:>2}{}) {:>3} rounds \
-                 {:>5} power units{}",
+                 (bound {:>3}, layered {:>3}) {:>5} power units{}",
                 r.workload,
                 r.pairs,
                 r.layers,
                 r.lower_bound,
                 if r.proven_optimal { ", optimal" } else { "" },
                 r.rounds,
+                r.rounds_lower_bound,
+                r.layered_rounds,
                 r.power_units,
                 if r.audit_errors == 0 { "" } else { "  AUDIT FINDINGS" },
             );
@@ -889,6 +903,10 @@ fn run_decomp_sweep(args: &[String]) {
             report.total_layers,
             report.total_lower_bound,
             if report.clean { "clean" } else { "FAILED" },
+        );
+        println!(
+            "{} of {} packed to the congestion bound",
+            report.rounds_at_bound, report.requests
         );
         println!("decomposition time: {stages}");
     }

@@ -208,15 +208,19 @@ CRITERION_JSON="$out_dir/BENCH_e14.json" \
     cargo bench -p bench --bench e14_decomp -- --test
 
 echo "== bench smoke: e14 bench IDs =="
-# The twelve ids are the layered front-end's contract: decompose /
-# certificate / route-layers / warm-cached at each size. The checked-in
-# BENCH_e14.json and a fresh smoke run must both carry exactly this set.
+# The fifteen ids are the layered front-end's contract: decompose /
+# certificate / route-layers / warm-cached / pack at each size. The
+# checked-in BENCH_e14.json and a fresh smoke run must both carry
+# exactly this set.
 e14_ids="e14_decomp/certificate/1024
 e14_decomp/certificate/256
 e14_decomp/certificate/4096
 e14_decomp/decompose/1024
 e14_decomp/decompose/256
 e14_decomp/decompose/4096
+e14_decomp/pack/1024
+e14_decomp/pack/256
+e14_decomp/pack/4096
 e14_decomp/route-layers/1024
 e14_decomp/route-layers/256
 e14_decomp/route-layers/4096
@@ -231,16 +235,17 @@ for f in BENCH_e14.json "$out_dir/BENCH_e14.json"; do
         exit 1
     fi
 done
-echo "e14 id gate: both files carry the twelve layering ids"
+echo "e14 id gate: both files carry the fifteen layering ids"
 
 echo "== bench smoke: e14 warm path must beat fresh layer routing =="
 # A warm cached general route (memo + per-layer cache hits) must never
 # lose to re-routing every layer — in the fresh smoke run and in the
 # checked-in warm medians (the real gap is ~8x; cold noise cannot
 # legitimately invert it). The checked-in medians must also keep
-# decomposition at or below layer routing at n=4096, and the certificate
+# decomposition at or below layer routing at n=4096, the certificate
 # at or below a third of decomposition at n=1024 (it was over half before
-# the bound-pruned crossing-clique sweep).
+# the bound-pruned crossing-clique sweep), and packing the composite at
+# or below a tenth of the general route that runs it at n=1024.
 for f in BENCH_e14.json "$out_dir/BENCH_e14.json"; do
     awk -v file="$f" '
         /"e14_decomp\// {
@@ -278,6 +283,11 @@ for f in BENCH_e14.json "$out_dir/BENCH_e14.json"; do
             if (file == "BENCH_e14.json" && 3 * val["certificate/1024"] > val["decompose/1024"]) {
                 printf "%s: certificate/1024 (%.0f ns) above decompose/1024 / 3 (%.0f ns)\n", \
                     file, val["certificate/1024"], val["decompose/1024"] / 3 > "/dev/stderr"
+                exit 1
+            }
+            if (file == "BENCH_e14.json" && 10 * val["pack/1024"] > val["route-layers/1024"]) {
+                printf "%s: pack/1024 (%.0f ns) above route-layers/1024 / 10 (%.0f ns)\n", \
+                    file, val["pack/1024"], val["route-layers/1024"] / 10 > "/dev/stderr"
                 exit 1
             }
         }

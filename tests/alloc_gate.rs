@@ -298,6 +298,35 @@ fn warm_general_route_hit_allocates_zero_bytes() {
 }
 
 #[test]
+fn warm_general_route_that_packs_allocates_zero_bytes() {
+    // As above, on a random matching, whose concatenated layers sit far
+    // above the congestion bound: the warm call also re-times the
+    // composite, and the packing pass runs on warm scratch and pooled
+    // shells.
+    let n = 256;
+    let topo = CstTopology::with_leaves(n);
+    let mut rng = StdRng::seed_from_u64(0x9AC4);
+    let gset = cst::workloads::arbitrary_permutation(&mut rng, n);
+    let mut ctx = EngineCtx::new();
+    ctx.enable_cache(64);
+    // Cold call, then two settle calls (as above).
+    for _ in 0..3 {
+        let out = ctx.route_general(&Csa, &topo, &gset).unwrap();
+        ctx.recycle_general(out);
+    }
+    let (warm, out) =
+        alloc_counter::measure(|| ctx.route_general(&Csa, &topo, &gset).unwrap());
+    assert!(out.rounds < out.layer_rounds.iter().sum::<usize>(), "the composite must pack");
+    assert_eq!(out.cached_layers, out.num_layers, "every layer must be served from the cache");
+    assert_eq!(
+        (warm.allocations, warm.bytes_allocated),
+        (0, 0),
+        "warm packed route must not touch the heap: {warm:?}"
+    );
+    ctx.recycle_general(out);
+}
+
+#[test]
 fn warm_serve_worker_cached_request_allocates_zero_bytes() {
     // The daemon's streaming guarantee (docs/SERVE.md): a worker serving
     // a repeated cached unmasked Route frame is pure scratch reuse —

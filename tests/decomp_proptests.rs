@@ -2,11 +2,11 @@
 //! (`cst-decomp`): layer counts against a brute-force minimum-coloring
 //! oracle at small sizes, the certified lower bound at production sizes,
 //! and full-stack composition audits — `cst-check`'s `CST3xx` pass plus
-//! reference-model conformance of every sliced layer — across every
-//! registered router.
+//! reference-model conformance of every layer, rebuilt from the packed
+//! composite's provenance — across every registered router.
 
 use cst::core::{CstTopology, GeneralCommSet};
-use cst::decomp::{decompose, slice_layer};
+use cst::decomp::{decompose, layer_schedule};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -140,9 +140,10 @@ fn production_size_layering_stays_within_one_of_the_bound() {
 #[test]
 fn composed_schedules_audit_clean_for_every_registry_router() {
     // The full-stack gate: route an arbitrary set through *every*
-    // registered router's layered path; the composite must pass the
-    // CST3xx composition audit and every sliced layer must pass both
-    // the static analyzer and the executable reference model.
+    // registered router's layered path; the packed composite must pass
+    // the CST3xx composition audit, stay within the concatenation's
+    // length, and every layer rebuilt from provenance must pass both the
+    // static analyzer and the executable reference model.
     let n = 32;
     let topo = CstTopology::with_leaves(n);
     let mut rng = StdRng::seed_from_u64(0xDEC0);
@@ -170,10 +171,26 @@ fn composed_schedules_audit_clean_for_every_registry_router() {
             } else {
                 cst::check::CheckOptions::lenient()
             };
-            let mut offset = 0;
+            assert!(out.rounds_lower_bound <= out.rounds);
+            assert!(out.rounds <= out.layer_rounds.iter().sum::<usize>());
             for (j, layer_set) in d.layer_sets.iter().enumerate() {
-                let layer = slice_layer(&out.schedule, offset, out.layer_rounds[j], &d.layers[j]);
-                offset += out.layer_rounds[j];
+                let layer = layer_schedule(
+                    &topo,
+                    gset,
+                    &d.layers[j],
+                    &out.layer_round,
+                    out.layer_rounds[j],
+                );
+                // Provenance rebuilds the router's own layer schedule:
+                // same rounds, same members, same switch settings.
+                let direct = cst::engine::route_once(router_name, &topo, layer_set).unwrap();
+                assert_eq!(layer.num_rounds(), direct.rounds, "{router_name} set {k} layer {j}");
+                for (r, (rebuilt, routed)) in layer.rounds.iter().zip(&direct.schedule.rounds).enumerate() {
+                    let mut members = routed.comms.clone();
+                    members.sort_unstable();
+                    assert_eq!(rebuilt.comms, members, "{router_name} set {k} layer {j} round {r}");
+                    assert_eq!(rebuilt.configs, routed.configs, "{router_name} set {k} layer {j} round {r}");
+                }
                 let static_report = cst::check::analyze(&topo, layer_set, &layer, &opts);
                 assert!(
                     !static_report.has_errors(),
