@@ -57,7 +57,7 @@ pub use node::{LeafId, NodeId};
 pub use path::Circuit;
 pub use pe::PeRole;
 pub use power::{charge_round, PowerMeter, PowerReport, SwitchPower, MAX_UNITS_PER_RECONFIG};
-pub use round::{ConfigArena, ConfigLookup, RoundConfigs};
+pub use round::{CircuitTable, ConfigArena, ConfigLookup, RoundConfigs};
 pub use switch::{Connection, Side, SwitchConfig};
 pub use topology::CstTopology;
 pub use trace::{ProtoKind, ProtoMsg, ProtocolRound, ProtocolTrace, SwitchEvent};

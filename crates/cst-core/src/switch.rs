@@ -28,7 +28,7 @@ impl Side {
 
     /// Dense index 0..3.
     #[inline]
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         match self {
             Side::Left => 0,
             Side::Right => 1,
@@ -122,6 +122,13 @@ impl SwitchConfig {
     /// The empty (fully disconnected) configuration.
     pub fn empty() -> Self {
         Self::default()
+    }
+
+    /// The configuration holding legal connection `c` alone.
+    pub(crate) const fn single(c: Connection) -> Self {
+        let mut driver = [None; 3];
+        driver[c.to.index()] = Some(c.from);
+        SwitchConfig { driver }
     }
 
     /// Which input drives output side `out`, if any.

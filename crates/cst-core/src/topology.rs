@@ -3,6 +3,7 @@
 use crate::error::CstError;
 use crate::link::DirectedLink;
 use crate::node::{LeafId, NodeId};
+use crate::switch::{Connection, SwitchConfig};
 use serde::{Deserialize, Serialize};
 
 /// A concrete CST topology: a complete binary tree with `num_leaves = 2^k`
@@ -204,6 +205,17 @@ impl CstTopology {
         PathLinks { src: s.0, dst: d.0, ups, downs, next: 0 }
     }
 
+    /// The switch settings of the unique `source -> dest` circuit, in the
+    /// order [`crate::Circuit`] lists them (source side up, the apex, then
+    /// down to the destination), without allocating.
+    pub fn path_settings(&self, source: LeafId, dest: LeafId) -> PathSettings {
+        debug_assert!(source.0 < self.num_leaves && dest.0 < self.num_leaves);
+        debug_assert_ne!(source, dest, "a leaf has no path to itself");
+        let (src, dst) = (self.leaf_node(source).0, self.leaf_node(dest).0);
+        let levels = (usize::BITS - (src ^ dst).leading_zeros()) as usize;
+        PathSettings { src, dst, levels, next: 0 }
+    }
+
     /// Number of directed links on the unique `source -> dest` circuit.
     pub fn path_len(&self, source: LeafId, dest: LeafId) -> usize {
         let apex = self.lca(source, dest);
@@ -251,6 +263,89 @@ impl Iterator for PathLinks {
 }
 
 impl ExactSizeIterator for PathLinks {}
+
+/// Allocation-free iterator over the `(switch, connection)` settings of
+/// one leaf-to-leaf circuit. Built by [`CstTopology::path_settings`].
+#[derive(Clone, Debug)]
+pub struct PathSettings {
+    src: usize,
+    dst: usize,
+    /// Levels from the leaves up to the apex.
+    levels: usize,
+    next: usize,
+}
+
+impl PathSettings {
+    /// Levels from the leaves up to the apex.
+    #[inline]
+    pub(crate) fn levels(&self) -> usize {
+        self.levels
+    }
+
+    /// The switch `up` levels above the source (`dest_side == false`)
+    /// or the destination, for `1 <= up <= levels` (`up == levels` is the
+    /// apex, the same switch from either side), and the index of the
+    /// circuit's connection there in [`SETTING`].
+    #[inline]
+    pub(crate) fn at(&self, dest_side: bool, up: usize) -> (NodeId, usize) {
+        let end = if dest_side { self.dst } else { self.src };
+        let k = if up == self.levels {
+            4 + usize::from(self.src > self.dst)
+        } else {
+            2 * usize::from(dest_side) + (end >> (up - 1) & 1)
+        };
+        (NodeId(end >> up), k)
+    }
+}
+
+/// A circuit's connection at a switch: below the apex on the source side
+/// (child side `->` parent, left child first), below it on the
+/// destination side (parent `->` child side), and at the apex of a
+/// rightward and a leftward circuit.
+pub(crate) const SETTING: [Connection; 6] = [
+    Connection::L_TO_P,
+    Connection::R_TO_P,
+    Connection::P_TO_L,
+    Connection::P_TO_R,
+    Connection::L_TO_R,
+    Connection::R_TO_L,
+];
+
+/// Each [`SETTING`] as a switch's whole configuration.
+pub(crate) const SETTING_CONFIG: [SwitchConfig; 6] = [
+    SwitchConfig::single(SETTING[0]),
+    SwitchConfig::single(SETTING[1]),
+    SwitchConfig::single(SETTING[2]),
+    SwitchConfig::single(SETTING[3]),
+    SwitchConfig::single(SETTING[4]),
+    SwitchConfig::single(SETTING[5]),
+];
+
+impl Iterator for PathSettings {
+    type Item = (NodeId, Connection);
+
+    fn next(&mut self) -> Option<(NodeId, Connection)> {
+        let k = self.next;
+        if k >= 2 * self.levels - 1 {
+            return None;
+        }
+        self.next += 1;
+        // Up the source side to the apex, then down to the destination.
+        let (node, k) = if k < self.levels {
+            self.at(false, k + 1)
+        } else {
+            self.at(true, 2 * self.levels - 1 - k)
+        };
+        Some((node, SETTING[k]))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let rest = 2 * self.levels - 1 - self.next;
+        (rest, Some(rest))
+    }
+}
+
+impl ExactSizeIterator for PathSettings {}
 
 #[cfg(test)]
 mod tests {
@@ -371,6 +466,23 @@ mod tests {
                 assert_eq!(walked, c.links, "{s}->{d}");
                 assert_eq!(t.path_len(LeafId(s), LeafId(d)), walked.len());
                 assert_eq!(t.path_links(LeafId(s), LeafId(d)).len(), walked.len());
+            }
+        }
+    }
+
+    #[test]
+    fn path_settings_match_circuits() {
+        use crate::path::Circuit;
+        let t = CstTopology::with_leaves(16);
+        for s in 0..16 {
+            for d in 0..16 {
+                if s == d {
+                    continue;
+                }
+                let c = Circuit::between(&t, LeafId(s), LeafId(d));
+                let walked: Vec<_> = t.path_settings(LeafId(s), LeafId(d)).collect();
+                assert_eq!(walked, c.settings, "{s}->{d}");
+                assert_eq!(t.path_settings(LeafId(s), LeafId(d)).len(), walked.len());
             }
         }
     }
