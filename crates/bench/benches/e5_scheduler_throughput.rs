@@ -6,7 +6,7 @@
 
 use bench::{emit, workload};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use cst_engine::{CsaParallel, CsaThreaded, EngineCtx, Router};
+use cst_engine::EngineCtx;
 
 fn bench_e5(c: &mut Criterion) {
     let table = cst_analysis::experiments::e5_throughput::run(
@@ -28,22 +28,6 @@ fn bench_e5(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
                 b.iter(|| {
                     let out = ctx.route_named(name, &topo, &set).unwrap();
-                    let rounds = out.rounds;
-                    ctx.recycle(out);
-                    std::hint::black_box(rounds)
-                })
-            });
-        }
-        // Parallel host drivers: identical output, subtree-level workers.
-        // The registry defaults size the worker pool from the host; the
-        // explicit-thread router structs pin it for comparability with
-        // the checked-in baselines (8 adaptive, 4 forced threads).
-        for router in
-            [&CsaParallel { threads: 8 } as &dyn Router, &CsaThreaded { threads: 4 }]
-        {
-            group.bench_with_input(BenchmarkId::new(router.name(), n), &n, |b, _| {
-                b.iter(|| {
-                    let out = ctx.route(router, &topo, &set).unwrap();
                     let rounds = out.rounds;
                     ctx.recycle(out);
                     std::hint::black_box(rounds)

@@ -9,7 +9,7 @@ use crate::registry;
 use crate::router::Router;
 use cst_comm::{CommSet, Schedule, SchedulePool};
 use cst_core::{CstError, CstTopology, FaultMask, Fp64, MergedRound, PowerReport};
-use cst_padr::{CsaScratch, ParallelScratch};
+use cst_padr::CsaScratch;
 use std::time::Instant;
 
 /// A reasonable [`EngineCtx::enable_cache`] capacity for callers with no
@@ -43,7 +43,6 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 #[derive(Default)]
 pub struct EngineCtx {
     pub(crate) csa: CsaScratch,
-    pub(crate) parallel: ParallelScratch,
     pub(crate) merged: MergedRound,
     pub(crate) pool: SchedulePool,
     /// Schedule cache; `None` until [`EngineCtx::enable_cache`]. While

@@ -61,6 +61,14 @@ mod tests {
     }
 
     #[test]
+    fn find_resolves_every_name_and_only_those() {
+        for name in names() {
+            assert_eq!(find(name).unwrap().name(), name);
+        }
+        assert!(find("nope").is_none());
+    }
+
+    #[test]
     fn registry_names_are_unique() {
         let names = names();
         let mut sorted = names.clone();
@@ -147,22 +155,6 @@ mod tests {
         let replayed = ctx.meter_schedule(&topo, &out.schedule);
         assert_eq!(replayed.total_units, out.power.total_units);
         assert_eq!(replayed.max_port_transitions, out.power.max_port_transitions);
-    }
-
-    #[test]
-    fn parallel_routers_agree_with_serial() {
-        let topo = CstTopology::with_leaves(64);
-        let pairs: Vec<(usize, usize)> = (0..16).map(|i| (i, 63 - i)).collect();
-        let set = CommSet::from_pairs(64, &pairs);
-        let mut ctx = EngineCtx::new();
-        let serial = ctx.route_named("csa", &topo, &set).unwrap();
-        for name in ["csa-parallel", "csa-threaded"] {
-            let par = ctx.route_named(name, &topo, &set).unwrap();
-            assert_eq!(par.schedule.rounds, serial.schedule.rounds, "{name}");
-            assert_eq!(par.power.total_units, serial.power.total_units, "{name}");
-            ctx.recycle(par);
-        }
-        ctx.recycle(serial);
     }
 
     #[test]

@@ -44,8 +44,9 @@ impl PhaseTimings {
 /// consumers can match instead of stringly-typed downcasting.
 #[derive(Clone, Debug)]
 pub enum RouteExtra {
-    /// CSA family (serial, parallel, threaded): control-plane counters and
-    /// the raw power meter (recycled by [`crate::EngineCtx::recycle`]).
+    /// CSA family (`csa`, its aliases, `csa-no-prune`): control-plane
+    /// counters and the raw power meter (recycled by
+    /// [`crate::EngineCtx::recycle`]).
     Csa {
         metrics: ControlMetrics,
         meter: PowerMeter,

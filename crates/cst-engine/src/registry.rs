@@ -29,35 +29,38 @@ pub const CANONICAL: [&str; 10] = [
     "sequential",
 ];
 
+/// The parameterized ablation variants, listed after [`CANONICAL`].
+const ABLATIONS: [&str; 4] = ["csa-no-prune", "greedy-innermost", "greedy-input", "roy-outermost"];
+
 /// All routers, canonical first, ablation variants after.
 pub fn registry() -> Vec<Box<dyn Router>> {
-    vec![
-        Box::new(Csa),
-        Box::new(CsaParallel::default()),
-        Box::new(CsaThreaded::default()),
-        Box::new(General),
-        Box::new(GeneralMerged),
-        Box::new(Layered),
-        Box::new(Universal),
-        Box::new(Greedy { order: ScanOrder::OutermostFirst }),
-        Box::new(Roy { order: LevelOrder::InnermostFirst }),
-        Box::new(Sequential),
-        // Ablation / parameterized variants (non-canonical).
-        Box::new(CsaNoPrune),
-        Box::new(Greedy { order: ScanOrder::InnermostFirst }),
-        Box::new(Greedy { order: ScanOrder::InputOrder }),
-        Box::new(Roy { order: LevelOrder::OutermostFirst }),
-    ]
+    names().into_iter().filter_map(find).collect()
 }
 
-/// Look up a router by stable name.
+/// Look up a router by stable name, boxing only the router returned.
 pub fn find(name: &str) -> Option<Box<dyn Router>> {
-    registry().into_iter().find(|r| r.name() == name)
+    Some(match name {
+        "csa" => Box::new(Csa),
+        "csa-parallel" => Box::new(CsaParallel),
+        "csa-threaded" => Box::new(CsaThreaded),
+        "general" => Box::new(General),
+        "general-merged" => Box::new(GeneralMerged),
+        "layered" => Box::new(Layered),
+        "universal" => Box::new(Universal),
+        "greedy" => Box::new(Greedy { order: ScanOrder::OutermostFirst }),
+        "roy" => Box::new(Roy { order: LevelOrder::InnermostFirst }),
+        "sequential" => Box::new(Sequential),
+        "csa-no-prune" => Box::new(CsaNoPrune),
+        "greedy-innermost" => Box::new(Greedy { order: ScanOrder::InnermostFirst }),
+        "greedy-input" => Box::new(Greedy { order: ScanOrder::InputOrder }),
+        "roy-outermost" => Box::new(Roy { order: LevelOrder::OutermostFirst }),
+        _ => return None,
+    })
 }
 
 /// All registry names, canonical first.
 pub fn names() -> Vec<&'static str> {
-    registry().iter().map(|r| r.name()).collect()
+    CANONICAL.into_iter().chain(ABLATIONS).collect()
 }
 
 /// One-shot convenience: route with a throwaway [`EngineCtx`]. Prefer a

@@ -1,7 +1,8 @@
 //! The [`Router`] trait and one implementation per scheduler in the
-//! workspace. Every scheduler — the paper's CSA in its serial, parallel
-//! and threaded forms, the orientation/layering front ends, and the three
-//! baselines — is driven through the same normalized interface.
+//! workspace. Every scheduler — the paper's serial CSA (also served under
+//! the alias names `csa-parallel` and `csa-threaded`), the
+//! orientation/layering front ends, and the three baselines — is driven
+//! through the same normalized interface.
 
 use crate::ctx::EngineCtx;
 use crate::outcome::{self, PhaseTimings, RouteExtra, RouteOutcome};
@@ -48,8 +49,17 @@ fn csa_route(router: &'static str, out: CsaOutcome, timings: PhaseTimings) -> Ro
     }
 }
 
-fn available_cores() -> usize {
-    std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1)
+/// Serial CSA under `router`'s name: [`Csa`] and its aliases.
+fn serial_csa(
+    router: &'static str,
+    ctx: &mut EngineCtx,
+    topo: &CstTopology,
+    set: &CommSet,
+) -> Result<RouteOutcome, CstError> {
+    let start = Instant::now();
+    let out = ctx.csa.schedule(topo, set, &mut ctx.pool)?;
+    let timings = PhaseTimings::from_csa(ctx.csa.timings(), elapsed_ns(start));
+    Ok(csa_route(router, out, timings))
 }
 
 /// The paper's serial CSA (strict preconditions: right-oriented,
@@ -70,10 +80,7 @@ impl Router for Csa {
         topo: &CstTopology,
         set: &CommSet,
     ) -> Result<RouteOutcome, CstError> {
-        let start = Instant::now();
-        let out = ctx.csa.schedule(topo, set, &mut ctx.pool)?;
-        let timings = PhaseTimings::from_csa(ctx.csa.timings(), elapsed_ns(start));
-        Ok(csa_route(self.name(), out, timings))
+        serial_csa(self.name(), ctx, topo, set)
     }
 }
 
@@ -102,20 +109,17 @@ impl Router for CsaNoPrune {
     }
 }
 
-/// Adaptive parallel CSA: subtree decomposition with worker threads when
-/// the host has more than one core, identical inline execution otherwise.
-/// `threads == 0` means "one worker per available core".
-#[derive(Default)]
-pub struct CsaParallel {
-    pub threads: usize,
-}
+/// `csa-parallel`: an alias of serial [`Csa`], kept so requests, tables
+/// and scripts that name it keep working. The CSA runs serially because
+/// a host fork/join per round costs more than the round's sweep.
+pub struct CsaParallel;
 
 impl Router for CsaParallel {
     fn name(&self) -> &'static str {
         "csa-parallel"
     }
     fn description(&self) -> &'static str {
-        "adaptive parallel CSA (subtree workers; serial-identical output)"
+        "alias of csa (serial CSA; name kept for wire compatibility)"
     }
     fn route(
         &self,
@@ -123,28 +127,20 @@ impl Router for CsaParallel {
         topo: &CstTopology,
         set: &CommSet,
     ) -> Result<RouteOutcome, CstError> {
-        let threads = if self.threads == 0 { available_cores() } else { self.threads };
-        let start = Instant::now();
-        let out = ctx.parallel.schedule(topo, set, threads, &mut ctx.pool)?;
-        let timings = PhaseTimings::total_only(elapsed_ns(start));
-        Ok(csa_route(self.name(), out, timings))
+        serial_csa(self.name(), ctx, topo, set)
     }
 }
 
-/// Parallel CSA that always spawns worker threads, even on a single-core
-/// host — exercises the cross-thread merge path deterministically.
-/// `threads == 0` means `max(cores, 2)` workers.
-#[derive(Default)]
-pub struct CsaThreaded {
-    pub threads: usize,
-}
+/// `csa-threaded`: an alias of serial [`Csa`], kept for wire
+/// compatibility like [`CsaParallel`].
+pub struct CsaThreaded;
 
 impl Router for CsaThreaded {
     fn name(&self) -> &'static str {
         "csa-threaded"
     }
     fn description(&self) -> &'static str {
-        "parallel CSA with forced worker threads (stress path; serial-identical output)"
+        "alias of csa (serial CSA; name kept for wire compatibility)"
     }
     fn route(
         &self,
@@ -152,11 +148,7 @@ impl Router for CsaThreaded {
         topo: &CstTopology,
         set: &CommSet,
     ) -> Result<RouteOutcome, CstError> {
-        let threads = if self.threads == 0 { available_cores().max(2) } else { self.threads };
-        let start = Instant::now();
-        let out = ctx.parallel.schedule_threaded(topo, set, threads, &mut ctx.pool)?;
-        let timings = PhaseTimings::total_only(elapsed_ns(start));
-        Ok(csa_route(self.name(), out, timings))
+        serial_csa(self.name(), ctx, topo, set)
     }
 }
 

@@ -18,6 +18,11 @@
 //! * [`orientation`] — mixed-orientation sets via decomposition+mirroring;
 //! * [`verifier`] — one-call checking of Theorems 4, 5, 8 on an outcome.
 //!
+//! The host driver is serial. The algorithm is distributed — every
+//! switch steps on local state — but a host pays a fork/join per round
+//! to parallelize it, which costs more than the round's sweep; host
+//! parallelism belongs across independent requests instead.
+//!
 //! ```
 //! use cst_core::CstTopology;
 //! use cst_comm::{CommSet, SchedulePool};
@@ -38,7 +43,6 @@ pub mod layers;
 pub mod merge;
 pub mod messages;
 pub mod orientation;
-pub mod parallel;
 pub mod phase1;
 pub mod scheduler;
 pub mod session;
@@ -50,7 +54,6 @@ pub use degrade::{partition_by_mask, split_half_duplex, MaskPartition, Reroute, 
 pub use incremental::IncrementalCsa;
 pub use layers::{decompose, schedule_layered_in, LayeredOutcome, Layering};
 pub use messages::{DownMsg, ReqKind, UpMsg, WORDS_DOWN, WORDS_UP};
-pub use parallel::ParallelScratch;
 pub use orientation::{
     mirror_round_configs, schedule_general_in, verify_general, GeneralOutcome,
 };

@@ -12,7 +12,7 @@
 static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
 
 use cst::core::CstTopology;
-use cst::engine::{Csa, EngineCtx};
+use cst::engine::{Csa, CsaParallel, CsaThreaded, EngineCtx, Router};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -51,6 +51,33 @@ fn warm_serial_csa_route_allocates_zero_bytes() {
         "alloc gate n={n}: cold {} allocations / {} bytes, warm {} / {}",
         cold.allocations, cold.bytes_allocated, warm.allocations, warm.bytes_allocated
     );
+}
+
+#[test]
+fn warm_alias_csa_routes_allocate_zero_bytes() {
+    // `csa-parallel` and `csa-threaded` are aliases of the serial CSA, so
+    // a warm route through either one is as allocation-free as `csa`.
+    let n = 1024;
+    let topo = CstTopology::with_leaves(n);
+    let mut rng = StdRng::seed_from_u64(0xA11A5);
+    let set = cst::workloads::well_nested_with_density(&mut rng, n, 0.7);
+    let mut ctx = EngineCtx::new();
+    for router in [&CsaParallel as &dyn Router, &CsaThreaded] {
+        // Two sizing calls, as in the serial gate above.
+        for _ in 0..2 {
+            let out = ctx.route(router, &topo, &set).unwrap();
+            ctx.recycle(out);
+        }
+        let (warm, out) = alloc_counter::measure(|| ctx.route(router, &topo, &set).unwrap());
+        assert_eq!(out.router, router.name());
+        assert_eq!(
+            (warm.allocations, warm.bytes_allocated),
+            (0, 0),
+            "warm {} route() must not touch the heap: {warm:?}",
+            router.name()
+        );
+        ctx.recycle(out);
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 
 use cst::comm::{width_on_topology, Schedule};
 use cst::core::{Circuit, CstTopology, MergedRound};
-use cst::engine::{CsaParallel, EngineCtx};
+use cst::engine::EngineCtx;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -110,25 +110,17 @@ fn schedule_json_format_is_pinned() {
 
 #[test]
 fn serial_parallel_and_arena_rebuilt_schedules_are_identical() {
-    // The parallel CSA and the serial CSA must produce bit-identical
-    // schedules, and re-merging each round's circuits through a scratch
-    // MergedRound must reproduce the recorded configurations exactly —
-    // the arena path loses nothing relative to per-round reconstruction.
+    // Re-merging each round's circuits of the serial CSA through a
+    // scratch MergedRound must reproduce the recorded configurations
+    // exactly — the arena path loses nothing relative to per-round
+    // reconstruction.
     let n = 256;
     let topo = CstTopology::with_leaves(n);
     let mut ctx = EngineCtx::new();
-    let parallel8 = CsaParallel { threads: 8 };
     for seed in 0..5u64 {
         let mut rng = StdRng::seed_from_u64(seed + 400);
         let set = cst::workloads::well_nested_with_density(&mut rng, n, 0.7);
         let serial = ctx.route_named("csa", &topo, &set).unwrap();
-        let parallel = ctx.route(&parallel8, &topo, &set).unwrap();
-        assert_eq!(serial.schedule, parallel.schedule, "seed {seed}");
-        assert_eq!(
-            serde_json::to_string(&serial.schedule).unwrap(),
-            serde_json::to_string(&parallel.schedule).unwrap(),
-            "seed {seed}"
-        );
         // Rebuild each round from its comms through the arena-backed
         // MergedRound and compare bit-for-bit.
         let mut merged = MergedRound::new(&topo);
@@ -141,7 +133,6 @@ fn serial_parallel_and_arena_rebuilt_schedules_are_identical() {
             assert_eq!(merged.take_configs(), round.configs, "seed {seed}");
         }
         ctx.recycle(serial);
-        ctx.recycle(parallel);
     }
 }
 

@@ -2,8 +2,8 @@
 //! random mutation chains must produce, after every delta, a schedule
 //! byte-identical (serde) to routing the mutated set from scratch — and
 //! that schedule must pass the static analyzer. Proptest drives the
-//! chains; a threaded-router case checks the session agrees with the
-//! parallel driver too.
+//! chains; a `csa-threaded` case checks the session agrees with the
+//! registry's alias names too.
 
 use cst::check::{analyze, CheckOptions};
 use cst::comm::{CommSet, Schedule, SchedulePool};
@@ -76,9 +76,9 @@ proptest! {
 
 #[test]
 fn incremental_agrees_with_the_threaded_router() {
-    // The threaded CSA driver is schedule-identical to the serial one; an
-    // incremental session evolving the same set must agree with it after
-    // every delta — streaming clients may mix the two freely.
+    // `csa-threaded` is an alias of the serial CSA; an incremental
+    // session evolving the same set must agree with it after every
+    // delta — streaming clients may mix the two freely.
     let n = 256;
     let topo = CstTopology::with_leaves(n);
     let mut rng = StdRng::seed_from_u64(0x7472EAD);
