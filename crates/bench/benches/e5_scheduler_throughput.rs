@@ -1,12 +1,19 @@
 //! E5 — host-side scheduler throughput: the criterion-precise version of
-//! the E5 table. Times CSA, Roy and greedy end to end across sizes, all
-//! dispatched through the engine registry with one warm [`EngineCtx`]
-//! (the steady-state cost a repeated caller sees; benchmark ids are the
-//! registry router names).
+//! the E5 table. Times CSA, Roy, greedy and the layered front ends end to
+//! end across sizes, all dispatched through the engine registry with one
+//! warm [`EngineCtx`] (the steady-state cost a repeated caller sees;
+//! benchmark ids are the registry router names). `e5_masked/csa/<n>`
+//! times the masked CSA route (partition, CSA, half-duplex split) under
+//! one fixed mask per size, sampled at the serve-miss fault rate.
 
 use bench::{emit, workload};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use cst_engine::EngineCtx;
+use cst_engine::{Csa, EngineCtx};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Per-component fault rate of the masked ids (the serve-miss rate).
+const MASK_RATE: f64 = 0.002;
 
 fn bench_e5(c: &mut Criterion) {
     let table = cst_analysis::experiments::e5_throughput::run(
@@ -24,7 +31,14 @@ fn bench_e5(c: &mut Criterion) {
     for n in [256usize, 1024, 4096] {
         let (topo, set) = workload(n, 0.5, 0xE5);
         group.throughput(Throughput::Elements(set.len() as u64));
-        for name in ["csa", "roy", "greedy", "csa-no-prune"] {
+        for name in [
+            "csa",
+            "roy",
+            "greedy",
+            "csa-no-prune",
+            "layered",
+            "universal",
+        ] {
             group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
                 b.iter(|| {
                     let out = ctx.route_named(name, &topo, &set).unwrap();
@@ -34,6 +48,27 @@ fn bench_e5(c: &mut Criterion) {
                 })
             });
         }
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("e5_masked");
+    for n in [256usize, 1024, 4096] {
+        let (topo, set) = workload(n, 0.5, 0xE5);
+        // The first seeded mask that degrades an edge, so every id runs
+        // the half-duplex check.
+        let mask = (0u64..)
+            .map(|seed| cst_faults::sample_mask(&mut StdRng::seed_from_u64(seed), &topo, MASK_RATE))
+            .find(|mask| mask.has_degraded())
+            .expect("some seed degrades an edge");
+        group.throughput(Throughput::Elements(set.len() as u64));
+        group.bench_with_input(BenchmarkId::new("csa", n), &n, |b, _| {
+            b.iter(|| {
+                let out = ctx.route_masked(&Csa, &topo, &set, &mask).unwrap();
+                let rounds = out.rounds;
+                ctx.recycle(out);
+                std::hint::black_box(rounds)
+            })
+        });
     }
     group.finish();
 }

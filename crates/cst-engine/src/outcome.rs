@@ -7,9 +7,10 @@ use cst_core::{PowerMeter, PowerReport};
 use cst_padr::{ControlMetrics, CsaTimings};
 
 /// Wall-clock nanoseconds of one routing request, split by phase where the
-/// router can attribute them. Every router fills `total_ns`; only the CSA
-/// family attributes the validate/phase1/rounds split (other routers leave
-/// those at zero).
+/// router can attribute them. Every router fills `total_ns`; the CSA
+/// family attributes the validate/phase1/rounds split, `layered` and
+/// `universal` report it summed over their per-layer CSA runs, and the
+/// other routers leave those at zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Input validation (orientation + well-nestedness checks).

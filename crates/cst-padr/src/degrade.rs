@@ -77,7 +77,7 @@ pub struct Reroute {
 }
 
 /// Statistics of one [`split_half_duplex`] pass.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SplitStats {
     /// Communications moved out of their original round, with the edge
     /// that forced each move.
@@ -102,6 +102,10 @@ const USED_DOWN: u8 = 0b10;
 /// mask.degraded_edges().len()` sub-rounds, and in practice two: within a
 /// compatible round each directed link is used at most once, so per
 /// degraded edge at most two circuits (one per direction) can collide.
+///
+/// Cost: one walk of every circuit per round to find the offending rounds
+/// (O(Σ path length), independent of how many edges are degraded), plus
+/// the repack of the rounds that offend.
 pub fn split_half_duplex(
     topo: &CstTopology,
     set: &CommSet,
@@ -119,7 +123,7 @@ pub fn split_half_duplex(
     let mut out = pool.take_schedule();
 
     for round in schedule.rounds {
-        if !round_violates(topo, set, mask, &round) {
+        if !round_violates(topo, set, mask, &round, &mut dir, &mut touched) {
             out.rounds.push(round);
             continue;
         }
@@ -209,24 +213,43 @@ fn unknown_comm(id: CommId) -> CstError {
 }
 
 /// Does `round` use both directions of any edge degraded in `mask`?
-fn round_violates(topo: &CstTopology, set: &CommSet, mask: &FaultMask, round: &Round) -> bool {
-    // Degraded masks are sparse; scan the few degraded edges against the
-    // round's circuits rather than materializing a full direction table.
-    for &edge in mask.degraded_edges() {
-        let mut seen = 0u8;
-        for &id in &round.comms {
-            let Some(comm) = set.get(id) else { continue };
-            for link in topo.path_links(comm.source, comm.dest) {
-                if link.child == edge {
-                    seen |= if link.up { USED_UP } else { USED_DOWN };
-                }
+///
+/// One walk per circuit, O(Σ path length) whatever the number of
+/// degraded edges: direction bits accumulate in `dir` (indexed by child
+/// node id) and the walk stops at the first edge holding both. `dir` is
+/// all zero on entry and is cleared through `touched` before returning.
+fn round_violates(
+    topo: &CstTopology,
+    set: &CommSet,
+    mask: &FaultMask,
+    round: &Round,
+    dir: &mut [u8],
+    touched: &mut Vec<usize>,
+) -> bool {
+    touched.clear();
+    let mut violates = false;
+    'circuits: for &id in &round.comms {
+        let Some(comm) = set.get(id) else { continue };
+        for link in topo.path_links(comm.source, comm.dest) {
+            if !mask.edge_degraded(link.child) {
+                continue;
             }
-            if seen == USED_UP | USED_DOWN {
-                return true;
+            let n = link.child.0;
+            if dir[n] == 0 {
+                touched.push(n);
+            }
+            dir[n] |= if link.up { USED_UP } else { USED_DOWN };
+            if dir[n] == USED_UP | USED_DOWN {
+                violates = true;
+                break 'circuits;
             }
         }
     }
-    false
+    for &n in touched.iter() {
+        dir[n] = 0;
+    }
+    touched.clear();
+    violates
 }
 
 #[cfg(test)]

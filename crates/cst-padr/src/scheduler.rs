@@ -94,6 +94,16 @@ pub struct CsaTimings {
     pub rounds_ns: u64,
 }
 
+/// Sums phase by phase: the layered front ends report their CSA runs'
+/// timings added up.
+impl std::ops::AddAssign for CsaTimings {
+    fn add_assign(&mut self, t: CsaTimings) {
+        self.validate_ns += t.validate_ns;
+        self.phase1_ns += t.phase1_ns;
+        self.rounds_ns += t.rounds_ns;
+    }
+}
+
 /// Reusable buffers for the Phase-2 sweep. Sized lazily to the topology and
 /// kept across calls so steady-state scheduling never touches the allocator.
 #[derive(Debug, Default)]
