@@ -1,27 +1,38 @@
-//! The schedule cache: an arena-backed LRU keyed by request fingerprint.
+//! The keyed LRU behind both schedule caches.
 //!
-//! Entries live in a fixed-capacity slab (`Vec<Entry>`); recency is an
-//! intrusive doubly-linked list threaded through the slab by index, and a
-//! `HashMap<u64, u32>` maps a request fingerprint to its slot. A lookup
-//! is: hash probe, then a **full equality check** of the stored key
-//! (router, set, mask) — a 64-bit fingerprint can collide, and the
-//! equality fallback turns a collision into a counted miss instead of a
-//! wrong schedule (property-tested with deliberately truncated
-//! fingerprints, see `tests/fingerprint_proptests.rs`).
+//! [`ScheduleCache<V>`] maps a request key (router, set, mask) to one
+//! value kind: `EngineCtx` caches a whole routing outcome (schedule,
+//! power, degradation); each serve shard (`ShardedScheduleCache`) caches
+//! only the encoded response payload, since a payload is a pure function
+//! of its key. Entries live in a fixed-capacity slab (`Vec<Entry<V>>`)
+//! and a `HashMap<u64, u32>` maps a request fingerprint to its slot. A
+//! lookup is: hash probe, then a **full equality check** of the stored
+//! key — a 64-bit fingerprint can collide, and the equality fallback
+//! turns a collision into a counted miss instead of a wrong answer
+//! (property-tested with deliberately truncated fingerprints, see
+//! `tests/fingerprint_proptests.rs`).
 //!
-//! Eviction overwrites the least-recently-used slot **in place** with
-//! `clone_from`, so the evicted entry's buffers (set, schedule rounds)
-//! are reused; in steady state the cache churns without growing. The hit
-//! path itself never touches the allocator — the engine clones the
-//! cached schedule out through pooled round shells
+//! Recency is a per-entry `AtomicU64` stamp drawn from a per-cache tick,
+//! so lookups take `&self` (the counters are atomic too) and a serve
+//! shard can answer hits under a shared read lock. An insert into a full
+//! cache scans the stamps and reuses the smallest one's slot: exact LRU
+//! whenever lookups do not race (in particular in every sequential run),
+//! at the cost of one pass over the entries per eviction.
+//!
+//! Eviction overwrites the victim's slot **in place**: the key's set and
+//! mask are `clone_from`ed into the old buffers, and the caller rewrites
+//! the value through the `&mut V` that [`ScheduleCache::insert`] hands
+//! back, so in steady state the cache churns without growing. The
+//! engine's hit path never touches the allocator — it clones the cached
+//! schedule out through pooled round shells
 //! ([`cst_comm::SchedulePool::copy_schedule`]), which the workspace
 //! allocation gate pins at 0 allocs / 0 bytes when warm.
 
-use crate::DegradationReport;
-use cst_comm::{CommSet, Schedule};
-use cst_core::{FaultMask, PowerReport};
+use cst_comm::CommSet;
+use cst_core::FaultMask;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Running counters of one [`ScheduleCache`]. Attached to cache-hit
 /// outcomes (`RouteExtra::Cached`) and the stream tool's JSON report.
@@ -40,111 +51,77 @@ pub struct CacheStats {
     pub entries: usize,
     /// Maximum resident entries.
     pub capacity: usize,
-    /// Of the hits, how many were answered by the lock-free hit tier in
-    /// front of the locked LRU (always 0 for a plain [`ScheduleCache`];
-    /// populated by `ShardedScheduleCache`). Already included in `hits`,
-    /// never in addition to it.
+    /// Of the hits, how many were answered by the serve path's first
+    /// probe (`ShardedScheduleCache::lookup_payload_tier`), before any
+    /// single-flight join. Always 0 for `EngineCtx`'s cache. Already
+    /// included in `hits`, never in addition to it.
     pub tier_hits: u64,
 }
 
-/// Slab index sentinel: no neighbor / no entry.
-const NIL: u32 = u32::MAX;
-
-/// What [`ScheduleCache::insert`] did to the slab. `displaced` is a
-/// schedule the caller should recycle into its pool (the evicted
-/// victim's, or the rejected input when the cache is disabled);
-/// `resident` borrows the freshly written entry's schedule for copy-out;
-/// `evicted_fp` is the masked fingerprint of a *different* key whose slot
-/// was reclaimed (`None` for fills and same-fingerprint overwrites) — the
-/// sharded front tier uses it to invalidate its copy of the victim.
-pub(crate) struct InsertOutcome<'a> {
-    pub(crate) displaced: Option<Schedule>,
-    pub(crate) resident: Option<&'a Schedule>,
-    pub(crate) evicted_fp: Option<u64>,
-}
-
-/// What [`ScheduleCache::insert_with_payload`] did: like
-/// [`InsertOutcome`] but owning no borrow, plus whether the payload is
-/// now resident (false when the cache is disabled) so the caller knows
-/// whether publishing the key to a front tier is sound.
-pub(crate) struct PayloadInsertOutcome {
-    pub(crate) displaced: Option<Schedule>,
-    pub(crate) evicted_fp: Option<u64>,
-    pub(crate) resident: bool,
-}
-
-/// One cached routing outcome with its full request key.
+/// One cached value with its full request key and recency stamp.
 #[derive(Debug)]
-pub(crate) struct Entry {
+struct Entry<V> {
     /// Effective (possibly test-truncated) request fingerprint.
     fp: u64,
-    pub(crate) router: &'static str,
-    pub(crate) set: CommSet,
-    pub(crate) mask: Option<FaultMask>,
-    pub(crate) schedule: Schedule,
-    pub(crate) rounds: usize,
-    pub(crate) power: PowerReport,
-    pub(crate) degradation: Option<DegradationReport>,
-    /// Fully-encoded response bytes for this entry (the serve daemon's
-    /// unit of caching): a hit is an `Arc` clone plus a socket write, no
-    /// re-serialization. `None` for entries routed through the plain
-    /// engine paths.
-    pub(crate) payload: Option<std::sync::Arc<[u8]>>,
-    /// Intrusive LRU links (slab indices).
-    prev: u32,
-    next: u32,
+    router: &'static str,
+    set: CommSet,
+    mask: Option<FaultMask>,
+    /// Tick of the last hit or insert; the smallest is the LRU victim.
+    stamp: AtomicU64,
+    value: V,
 }
 
-/// Fixed-capacity LRU cache of routing outcomes. See the module docs for
-/// the representation; see `EngineCtx::enable_cache` for the keying rules
-/// (router name + set fingerprint + fault-mask fingerprint).
+/// Fixed-capacity LRU cache from request key to `V`. See the module docs
+/// for the representation; see `EngineCtx::enable_cache` for the keying
+/// rules (router name + set fingerprint + fault-mask fingerprint).
 #[derive(Debug)]
-pub struct ScheduleCache {
-    slab: Vec<Entry>,
+pub struct ScheduleCache<V> {
+    slab: Vec<Entry<V>>,
     by_fp: HashMap<u64, u32>,
-    /// Most-recently-used slot.
-    head: u32,
-    /// Least-recently-used slot (eviction victim).
-    tail: u32,
+    /// Source of recency stamps; every hit and insert takes the next one.
+    /// Stamps and counters use `Relaxed`: they publish no other data
+    /// (entries change only under `&mut self`), they only order evictions.
+    tick: AtomicU64,
     capacity: usize,
     /// AND-mask applied to every fingerprint before use. `!0` in
     /// production; tests truncate it to force collisions and exercise
     /// the equality fallback.
     fp_mask: u64,
-    hits: u64,
-    misses: u64,
+    hits: AtomicU64,
+    misses: AtomicU64,
     evictions: u64,
-    collisions: u64,
+    collisions: AtomicU64,
+    tier_hits: AtomicU64,
 }
 
-impl ScheduleCache {
+impl<V> ScheduleCache<V> {
     /// An empty cache holding at most `capacity` entries (0 disables it:
     /// every lookup misses, every insert is dropped).
-    pub fn new(capacity: usize) -> ScheduleCache {
+    pub fn new(capacity: usize) -> ScheduleCache<V> {
         ScheduleCache {
             slab: Vec::with_capacity(capacity.min(1024)),
             by_fp: HashMap::with_capacity(capacity.min(1024)),
-            head: NIL,
-            tail: NIL,
+            tick: AtomicU64::new(0),
             capacity,
             fp_mask: !0,
-            hits: 0,
-            misses: 0,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             evictions: 0,
-            collisions: 0,
+            collisions: AtomicU64::new(0),
+            tier_hits: AtomicU64::new(0),
         }
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits,
-            misses: self.misses,
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions,
-            collisions: self.collisions,
+            collisions: self.collisions.load(Ordering::Relaxed),
             entries: self.slab.len(),
             capacity: self.capacity,
-            tier_hits: 0,
+            tier_hits: self.tier_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -168,96 +145,119 @@ impl ScheduleCache {
     }
 
     /// Look up a request. A hit requires fingerprint match **and** full
-    /// key equality; the entry is bumped to most-recently-used. A
-    /// fingerprint match with an unequal key counts as a collision (and
-    /// a miss) — never a wrong answer.
+    /// key equality; the entry becomes most-recently-used. A fingerprint
+    /// match with an unequal key counts as a collision (and a miss) —
+    /// never a wrong answer. Exactly one of hit/miss is counted.
     pub(crate) fn lookup(
-        &mut self,
+        &self,
         fp: u64,
         router: &str,
         set: &CommSet,
         mask: Option<&FaultMask>,
-    ) -> Option<&Entry> {
-        let fp = fp & self.fp_mask;
-        match self.by_fp.get(&fp) {
-            Some(&slot) => {
-                let e = &self.slab[slot as usize];
-                if e.router == router && e.set == *set && e.mask.as_deref_eq(mask) {
-                    self.hits += 1;
-                    self.bump(slot);
-                    Some(&self.slab[slot as usize])
-                } else {
-                    self.collisions += 1;
-                    self.misses += 1;
-                    None
-                }
+    ) -> Option<&V> {
+        match self.find(fp, router, set, mask) {
+            Ok(value) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(value)
             }
-            None => {
-                self.misses += 1;
+            Err(collided) => {
+                if collided {
+                    self.collisions.fetch_add(1, Ordering::Relaxed);
+                }
+                self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
     }
 
-    /// Insert (or overwrite) the outcome for a request key.
-    ///
-    /// Takes the schedule **by value**: the freshly routed schedule moves
-    /// into the entry instead of being cloned, which keeps the miss path
-    /// within a few percent of an uncached route (the engine then copies
-    /// it back out through pooled shells, the same cheap path a hit
-    /// takes). See [`InsertOutcome`] for what comes back.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Self::lookup`] for a probe that a counted lookup backs up: a hit
+    /// counts in `hits` and `tier_hits`, a miss counts nothing.
+    pub(crate) fn first_probe(
+        &self,
+        fp: u64,
+        router: &str,
+        set: &CommSet,
+        mask: Option<&FaultMask>,
+    ) -> Option<&V> {
+        let value = self.find(fp, router, set, mask).ok()?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.tier_hits.fetch_add(1, Ordering::Relaxed);
+        Some(value)
+    }
+
+    /// The uncounted probe: `Ok` (stamped most-recently-used) on a full
+    /// key match, `Err(true)` on a fingerprint collision, `Err(false)`
+    /// when the fingerprint is absent.
+    fn find(
+        &self,
+        fp: u64,
+        router: &str,
+        set: &CommSet,
+        mask: Option<&FaultMask>,
+    ) -> Result<&V, bool> {
+        let &slot = self.by_fp.get(&(fp & self.fp_mask)).ok_or(false)?;
+        let e = &self.slab[slot as usize];
+        let key_matches = e.router == router
+            && e.set == *set
+            && match (&e.mask, mask) {
+                (None, None) => true,
+                (Some(a), Some(b)) => a == b,
+                _ => false,
+            };
+        if !key_matches {
+            return Err(true);
+        }
+        e.stamp.store(self.tick.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
+        Ok(&e.value)
+    }
+
+    /// Claim the slot for a request key and hand back its value for the
+    /// caller to overwrite: the slot already holding this fingerprint (a
+    /// refresh of the same key, or a collision victim — one slot per
+    /// fingerprint either way), else a fresh slot (`V::default()`) while
+    /// under capacity, else the least-recently-used entry's. The key is
+    /// written and the entry stamped most-recently-used. `None` when the
+    /// cache is disabled (capacity 0).
     pub(crate) fn insert(
         &mut self,
         fp: u64,
         router: &'static str,
         set: &CommSet,
         mask: Option<&FaultMask>,
-        schedule: Schedule,
-        power: &PowerReport,
-        degradation: Option<&DegradationReport>,
-    ) -> InsertOutcome<'_> {
+    ) -> Option<&mut V>
+    where
+        V: Default,
+    {
         if self.capacity == 0 {
-            return InsertOutcome { displaced: Some(schedule), resident: None, evicted_fp: None };
+            return None;
         }
         let fp = fp & self.fp_mask;
-        let mut evicted_fp = None;
         let slot = if let Some(&slot) = self.by_fp.get(&fp) {
-            // Same fingerprint already resident: overwrite in place
-            // (either a refresh of the same key, or a collision victim —
-            // one slot per fingerprint either way).
             slot
         } else if self.slab.len() < self.capacity {
-            let slot = self.slab.len() as u32;
             self.slab.push(Entry {
                 fp,
                 router,
                 set: CommSet::empty(0),
                 mask: None,
-                schedule: Schedule::default(),
-                rounds: 0,
-                power: PowerReport::default(),
-                degradation: None,
-                payload: None,
-                prev: NIL,
-                next: NIL,
+                stamp: AtomicU64::new(0),
+                value: V::default(),
             });
-            self.attach_front(slot);
-            slot
+            (self.slab.len() - 1) as u32
         } else {
-            // Evict the least-recently-used entry, reusing its slot.
-            let victim = self.tail;
+            // Full at capacity > 0, so the slab is not empty.
+            let victim = (0..self.slab.len())
+                .min_by_key(|&i| self.slab[i].stamp.load(Ordering::Relaxed))
+                .unwrap_or(0);
             self.evictions += 1;
-            evicted_fp = Some(self.slab[victim as usize].fp);
-            self.by_fp.remove(&self.slab[victim as usize].fp);
-            self.bump(victim);
-            victim
+            self.by_fp.remove(&self.slab[victim].fp);
+            victim as u32
         };
         self.by_fp.insert(fp, slot);
+        let tick = self.tick.get_mut();
+        *tick += 1;
+        let stamp = *tick;
         let e = &mut self.slab[slot as usize];
-        // Any encoded payload was serialized from the overwritten
-        // schedule; it must not survive the overwrite.
-        e.payload = None;
         e.fp = fp;
         e.router = router;
         e.set.clone_from(set);
@@ -265,165 +265,8 @@ impl ScheduleCache {
             (Some(dst), Some(src)) => dst.clone_from(src),
             (dst, src) => *dst = src.cloned(),
         }
-        e.rounds = schedule.num_rounds();
-        let displaced = std::mem::replace(&mut e.schedule, schedule);
-        e.power.clone_from(power);
-        match (&mut e.degradation, degradation) {
-            (Some(dst), Some(src)) => dst.clone_from(src),
-            (dst, src) => *dst = src.cloned(),
-        }
-        self.bump(slot);
-        InsertOutcome {
-            displaced: Some(displaced),
-            resident: Some(&self.slab[slot as usize].schedule),
-            evicted_fp,
-        }
-    }
-
-    /// Bump the entry at `fp` to most-recently-used **iff** the full
-    /// request key matches — no counters move. The sharded cache calls
-    /// this after a front-tier hit so the locked LRU's recency order
-    /// stays exactly what it would have been had the hit gone through
-    /// [`Self::lookup_payload`].
-    pub(crate) fn touch(
-        &mut self,
-        fp: u64,
-        router: &str,
-        set: &CommSet,
-        mask: Option<&FaultMask>,
-    ) {
-        let fp = fp & self.fp_mask;
-        if let Some(&slot) = self.by_fp.get(&fp) {
-            let e = &self.slab[slot as usize];
-            if e.router == router && e.set == *set && e.mask.as_deref_eq(mask) {
-                self.bump(slot);
-            }
-        }
-    }
-
-    /// Look up the *encoded response payload* for a request — the serve
-    /// daemon's hit path. Identical keying rules to [`Self::lookup`], but
-    /// a hit additionally requires an attached payload; a resident entry
-    /// without one (inserted through the plain engine paths) counts as a
-    /// miss, so `hits + misses` always equals the number of payload
-    /// lookups performed.
-    pub(crate) fn lookup_payload(
-        &mut self,
-        fp: u64,
-        router: &str,
-        set: &CommSet,
-        mask: Option<&FaultMask>,
-    ) -> Option<std::sync::Arc<[u8]>> {
-        let fp = fp & self.fp_mask;
-        match self.by_fp.get(&fp) {
-            Some(&slot) => {
-                let e = &self.slab[slot as usize];
-                if e.router == router && e.set == *set && e.mask.as_deref_eq(mask) {
-                    if let Some(payload) = e.payload.clone() {
-                        self.hits += 1;
-                        self.bump(slot);
-                        return Some(payload);
-                    }
-                    self.misses += 1;
-                    None
-                } else {
-                    self.collisions += 1;
-                    self.misses += 1;
-                    None
-                }
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// [`Self::insert`], then attach the encoded response payload to the
-    /// freshly written entry. See [`PayloadInsertOutcome`] for what comes
-    /// back.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn insert_with_payload(
-        &mut self,
-        fp: u64,
-        router: &'static str,
-        set: &CommSet,
-        mask: Option<&FaultMask>,
-        schedule: Schedule,
-        power: &PowerReport,
-        degradation: Option<&DegradationReport>,
-        payload: std::sync::Arc<[u8]>,
-    ) -> PayloadInsertOutcome {
-        let out = self.insert(fp, router, set, mask, schedule, power, degradation);
-        let (displaced, evicted_fp) = (out.displaced, out.evicted_fp);
-        let fp = fp & self.fp_mask;
-        let mut resident = false;
-        if let Some(&slot) = self.by_fp.get(&fp) {
-            self.slab[slot as usize].payload = Some(payload);
-            resident = true;
-        }
-        PayloadInsertOutcome { displaced, evicted_fp, resident }
-    }
-
-    /// Move `slot` to the most-recently-used position.
-    fn bump(&mut self, slot: u32) {
-        if self.head == slot {
-            return;
-        }
-        self.detach(slot);
-        self.attach_front(slot);
-    }
-
-    fn detach(&mut self, slot: u32) {
-        let (prev, next) = {
-            let e = &self.slab[slot as usize];
-            (e.prev, e.next)
-        };
-        if prev != NIL {
-            self.slab[prev as usize].next = next;
-        } else if self.head == slot {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slab[next as usize].prev = prev;
-        } else if self.tail == slot {
-            self.tail = prev;
-        }
-        let e = &mut self.slab[slot as usize];
-        e.prev = NIL;
-        e.next = NIL;
-    }
-
-    fn attach_front(&mut self, slot: u32) {
-        let old_head = self.head;
-        {
-            let e = &mut self.slab[slot as usize];
-            e.prev = NIL;
-            e.next = old_head;
-        }
-        if old_head != NIL {
-            self.slab[old_head as usize].prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
-    }
-}
-
-/// Equality between an `Option<FaultMask>` entry key and the request's
-/// `Option<&FaultMask>` without cloning either.
-trait AsDerefEq {
-    fn as_deref_eq(&self, other: Option<&FaultMask>) -> bool;
-}
-
-impl AsDerefEq for Option<FaultMask> {
-    fn as_deref_eq(&self, other: Option<&FaultMask>) -> bool {
-        match (self, other) {
-            (None, None) => true,
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        }
+        *e.stamp.get_mut() = stamp;
+        Some(&mut e.value)
     }
 }
 
@@ -436,18 +279,26 @@ mod tests {
         (set.fingerprint(), set)
     }
 
-    fn dummy_schedule() -> Schedule {
-        Schedule::default()
+    fn put(c: &mut ScheduleCache<usize>, i: usize) {
+        let (fp, set) = entry_key(i);
+        if let Some(v) = c.insert(fp, "csa", &set, None) {
+            *v = i;
+        }
+    }
+
+    fn get(c: &ScheduleCache<usize>, i: usize) -> Option<usize> {
+        let (fp, set) = entry_key(i);
+        c.lookup(fp, "csa", &set, None).copied()
     }
 
     #[test]
     fn hit_requires_full_key_equality() {
         let mut c = ScheduleCache::new(4);
-        let (fp, set) = entry_key(1);
-        assert!(c.lookup(fp, "csa", &set, None).is_none());
-        c.insert(fp, "csa", &set, None, dummy_schedule(), &PowerReport::default(), None);
-        assert!(c.lookup(fp, "csa", &set, None).is_some());
+        assert_eq!(get(&c, 1), None);
+        put(&mut c, 1);
+        assert_eq!(get(&c, 1), Some(1));
         // Same fingerprint, different router: the fallback rejects it.
+        let (fp, set) = entry_key(1);
         assert!(c.lookup(fp, "greedy", &set, None).is_none());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.collisions), (1, 2, 1));
@@ -456,71 +307,52 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let mut c = ScheduleCache::new(2);
-        let keys: Vec<_> = (1..=3).map(entry_key).collect();
-        for (fp, set) in &keys[..2] {
-            c.insert(*fp, "csa", set, None, dummy_schedule(), &PowerReport::default(), None);
-        }
-        // Touch key 0 so key 1 is the LRU victim.
-        assert!(c.lookup(keys[0].0, "csa", &keys[0].1, None).is_some());
-        c.insert(keys[2].0, "csa", &keys[2].1, None, dummy_schedule(), &PowerReport::default(), None);
+        put(&mut c, 1);
+        put(&mut c, 2);
+        // Touch key 1 so key 2 is the LRU victim.
+        assert_eq!(get(&c, 1), Some(1));
+        put(&mut c, 3);
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.len(), 2);
-        assert!(c.lookup(keys[0].0, "csa", &keys[0].1, None).is_some());
-        assert!(c.lookup(keys[1].0, "csa", &keys[1].1, None).is_none());
-        assert!(c.lookup(keys[2].0, "csa", &keys[2].1, None).is_some());
+        assert_eq!(get(&c, 1), Some(1));
+        assert_eq!(get(&c, 2), None);
+        assert_eq!(get(&c, 3), Some(3));
     }
 
     #[test]
     fn truncated_fingerprints_collide_safely() {
         let mut c = ScheduleCache::new(8);
         c.set_fp_bits(0); // every fingerprint is 0: one slot, constant war
-        let keys: Vec<_> = (1..=4).map(entry_key).collect();
-        for (fp, set) in &keys {
-            c.insert(*fp, "csa", set, None, dummy_schedule(), &PowerReport::default(), None);
+        for i in 1..=4 {
+            put(&mut c, i);
         }
         assert_eq!(c.len(), 1, "one slot per (masked) fingerprint");
         // Only the last insert survives; earlier keys collide and miss —
-        // never return another key's schedule.
-        assert!(c.lookup(keys[3].0, "csa", &keys[3].1, None).is_some());
-        for (fp, set) in &keys[..3] {
-            assert!(c.lookup(*fp, "csa", set, None).is_none());
+        // never return another key's value.
+        assert_eq!(get(&c, 4), Some(4));
+        for i in 1..=3 {
+            assert_eq!(get(&c, i), None);
         }
         assert_eq!(c.stats().collisions, 3);
     }
 
     #[test]
-    fn payload_hits_require_an_attached_payload() {
+    fn first_probe_counts_hits_but_never_misses() {
         let mut c = ScheduleCache::new(4);
         let (fp, set) = entry_key(1);
-        // Plain insert: resident, but no payload — a payload lookup is a
-        // counted miss, never a half-hit.
-        c.insert(fp, "csa", &set, None, dummy_schedule(), &PowerReport::default(), None);
-        assert!(c.lookup_payload(fp, "csa", &set, None).is_none());
-        let payload: std::sync::Arc<[u8]> = std::sync::Arc::from(&b"frame"[..]);
-        c.insert_with_payload(
-            fp,
-            "csa",
-            &set,
-            None,
-            dummy_schedule(),
-            &PowerReport::default(),
-            None,
-            payload,
-        );
-        assert_eq!(c.lookup_payload(fp, "csa", &set, None).as_deref(), Some(&b"frame"[..]));
-        // Overwriting through the plain path invalidates the payload.
-        c.insert(fp, "csa", &set, None, dummy_schedule(), &PowerReport::default(), None);
-        assert!(c.lookup_payload(fp, "csa", &set, None).is_none());
+        assert!(c.first_probe(fp, "csa", &set, None).is_none());
+        put(&mut c, 1);
+        assert!(c.first_probe(fp, "greedy", &set, None).is_none(), "collision");
+        assert_eq!(c.first_probe(fp, "csa", &set, None), Some(&1));
         let s = c.stats();
-        assert_eq!(s.hits + s.misses, 3, "every payload lookup counts exactly once");
+        assert_eq!((s.hits, s.tier_hits, s.misses, s.collisions), (1, 1, 0, 0));
     }
 
     #[test]
     fn zero_capacity_disables() {
         let mut c = ScheduleCache::new(0);
-        let (fp, set) = entry_key(1);
-        c.insert(fp, "csa", &set, None, dummy_schedule(), &PowerReport::default(), None);
-        assert!(c.lookup(fp, "csa", &set, None).is_none());
+        put(&mut c, 1);
+        assert_eq!(get(&c, 1), None);
         assert_eq!(c.len(), 0);
     }
 }

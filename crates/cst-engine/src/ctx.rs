@@ -4,6 +4,7 @@
 //! workspace's allocation-gate test for the serial CSA).
 
 use crate::cache::{CacheStats, ScheduleCache};
+use crate::degrade::DegradationReport;
 use crate::outcome::{PhaseTimings, RouteExtra, RouteOutcome};
 use crate::registry;
 use crate::router::Router;
@@ -47,7 +48,7 @@ pub struct EngineCtx {
     pub(crate) pool: SchedulePool,
     /// Schedule cache; `None` until [`EngineCtx::enable_cache`]. While
     /// `None`, every route call dispatches straight to the router.
-    pub(crate) cache: Option<ScheduleCache>,
+    pub(crate) cache: Option<ScheduleCache<CachedOutcome>>,
     /// Last general request's decomposition, memoized so a repeated
     /// [`EngineCtx::route_general`] request skips the layering pass
     /// entirely (fingerprint prefilter + set equality, like the cache).
@@ -197,22 +198,16 @@ impl EngineCtx {
         // Hit path: cache and pool are disjoint fields, so the cached
         // schedule can be copied out through pooled round shells while
         // the entry is still borrowed.
-        if let Some(cache) = self.cache.as_mut() {
+        if let Some(cache) = self.cache.as_ref() {
             if let Some(entry) = cache.lookup(fp, router.name(), set, mask) {
-                let schedule = self.pool.copy_schedule(&entry.schedule);
-                let rounds = entry.rounds;
-                let router_name = entry.router;
-                let power = entry.power.clone();
-                let degradation = entry.degradation.clone();
-                let stats = cache.stats();
                 return Ok(RouteOutcome {
-                    router: router_name,
-                    schedule,
-                    rounds,
-                    power,
+                    router: router.name(),
+                    schedule: self.pool.copy_schedule(&entry.schedule),
+                    rounds: entry.rounds,
+                    power: entry.power.clone(),
                     timings: PhaseTimings::total_only(t0.elapsed().as_nanos() as u64),
-                    extra: RouteExtra::Cached { stats },
-                    degradation,
+                    extra: RouteExtra::Cached { stats: cache.stats() },
+                    degradation: entry.degradation.clone(),
                 });
             }
         }
@@ -224,31 +219,32 @@ impl EngineCtx {
         let Some(cache) = self.cache.as_mut() else { return Ok(out) };
         // The fresh schedule moves into the entry (no clone); the caller
         // gets a copy through pooled shells — the same cheap path a hit
-        // takes — and the displaced victim schedule recirculates into the
-        // pool. With a zero-capacity cache the schedule comes straight back.
-        let fresh = std::mem::take(&mut out.schedule);
-        let ins = cache.insert(
-            fp,
-            out.router,
-            set,
-            mask,
-            fresh,
-            &out.power,
-            out.degradation.as_ref(),
-        );
-        out.schedule = match (ins.displaced, ins.resident) {
-            (displaced, Some(entry_schedule)) => {
-                let copy = self.pool.copy_schedule(entry_schedule);
-                if let Some(victim) = displaced {
-                    self.pool.put_schedule(victim);
-                }
-                copy
+        // takes — and the overwritten entry's schedule recirculates into
+        // the pool. With a zero-capacity cache nothing is stored.
+        if let Some(entry) = cache.insert(fp, out.router, set, mask) {
+            let fresh = std::mem::take(&mut out.schedule);
+            entry.rounds = fresh.num_rounds();
+            let victim = std::mem::replace(&mut entry.schedule, fresh);
+            entry.power.clone_from(&out.power);
+            match (&mut entry.degradation, out.degradation.as_ref()) {
+                (Some(dst), Some(src)) => dst.clone_from(src),
+                (dst, src) => *dst = src.cloned(),
             }
-            (Some(original), None) => original,
-            (None, None) => unreachable!("disabled cache returns the input schedule"),
-        };
+            out.schedule = self.pool.copy_schedule(&entry.schedule);
+            self.pool.put_schedule(victim);
+        }
         Ok(out)
     }
+}
+
+/// One routing outcome as `EngineCtx`'s cache holds it: everything a hit
+/// hands back besides the timings and the counters.
+#[derive(Debug, Default)]
+pub(crate) struct CachedOutcome {
+    schedule: Schedule,
+    rounds: usize,
+    power: PowerReport,
+    degradation: Option<DegradationReport>,
 }
 
 /// The canonical 64-bit cache key of one routing request: the router

@@ -243,12 +243,8 @@ impl Router for Layered {
     ) -> Result<RouteOutcome, CstError> {
         let start = Instant::now();
         let out = layers::schedule_layered_in(&mut ctx.csa, &mut ctx.pool, topo, set)?;
-        let layers::LayeredOutcome { schedule, per_layer, layering, timings, csa_power } = out;
+        let layers::LayeredOutcome { schedule, layering, timings, csa_power } = out;
         let num_layers = layering.layers.len();
-        for layer in per_layer {
-            ctx.pool.put_schedule(layer.schedule);
-            ctx.pool.put_meter(layer.meter);
-        }
         let power = csa_power.unwrap_or_else(|| ctx.meter_schedule(topo, &schedule));
         let rounds = schedule.num_rounds();
         Ok(RouteOutcome {

@@ -1,10 +1,10 @@
-//! Sharded schedule cache: the concurrency layer over [`ScheduleCache`].
+//! Sharded payload cache: the concurrency layer over [`ScheduleCache`].
 //!
 //! The serve daemon runs one `EngineCtx` per worker thread (routing
-//! scratch is thread-local by construction) but wants routed schedules
-//! shared across workers. A single mutex around one big cache would
-//! serialize every hit, so the shared cache is split into `2^shard_bits`
-//! independent [`ScheduleCache`] shards, each behind its own lock.
+//! scratch is thread-local by construction) but wants routed payloads
+//! shared across workers. One lock around one big cache would serialize
+//! every insert, so the shared cache is split into `2^shard_bits`
+//! independent [`ScheduleCache`] shards, each behind its own `RwLock`.
 //!
 //! A request's shard is chosen by the **high bits** of its [`Fp64`]
 //! request fingerprint (`cst_engine::request_fingerprint`). The split is
@@ -14,38 +14,22 @@
 //! in-shard placement stay independent and uniformly spread.
 //!
 //! The unit cached here is the **fully-encoded response payload**
-//! (`Arc<[u8]>`): a hit is an `Arc` clone plus a socket write, with no
-//! re-serialization and no allocation. Inserts move the routed schedule
-//! in by value and hand the displaced victim back for the worker's
-//! `SchedulePool`, the same churn discipline as the single-caller cache.
-//! Per-shard counters never stop being ordinary `ScheduleCache` stats;
+//! (`Arc<[u8]>`) and nothing else: a payload is a pure function of its
+//! (router, set, mask) key, because the CSA's rounds (Thm 5) and power
+//! (Thm 8) are deterministic, so no reader needs the schedule behind it.
+//! A hit is a shared read lock, a full-key probe, a relaxed recency
+//! stamp and an `Arc` clone — no exclusive lock and no allocation.
+//! Inserts and [`ShardedScheduleCache::clear`] take the write lock; an
+//! insert into a full shard scans that shard's stamps for the LRU victim
+//! (64 entries at the daemon's default of 256 over 4 shards).
+//!
+//! Per-shard counters are ordinary `ScheduleCache` stats;
 //! [`ShardedScheduleCache::stats`] is their sum (asserted equal in the
 //! unit tests, and conserved end-to-end by `tests/serve_stress.rs`:
-//! hits + misses == payload lookups).
-//!
-//! # The hit tier
-//!
-//! In front of every shard's locked LRU sits a [`HitTier`]: a fixed,
-//! generation-checked open-addressing index from masked fingerprint to
-//! the full request key and its `Arc<[u8]>` payload. A warm hit costs one
-//! relaxed atomic load (generation 0 means "nothing ever published" and
-//! skips everything), a shared `RwLock` read acquire, a bounded linear
-//! probe with **full key equality**, and one `Arc` clone — no exclusive
-//! lock and no allocation. All tier *writes* (publish on insert,
-//! invalidate on eviction, purge on clear) happen only in methods that
-//! already hold the owning shard's mutex, so the locked LRU remains the
-//! single writer and bumps the generation on every mutation.
-//!
-//! Because a payload is a pure function of its full request key, a tier
-//! hit can never serve stale or wrong bytes: equality is checked against
-//! the stored key, and an entry for an evicted key is explicitly
-//! invalidated (even un-invalidated it would still be byte-identical to a
-//! recomputation). Tier hits bump the LRU entry's recency with a
-//! best-effort `try_lock` — exact in sequential runs (which keeps the
-//! seeded CI goldens deterministic), approximate under contention — and
-//! are counted in a dedicated per-shard `tier_hits` counter that
-//! [`ShardedScheduleCache::shard_stats`] folds into `hits`, preserving
-//! the conservation invariant.
+//! hits + misses == counted lookups). The serve path's first probe,
+//! [`ShardedScheduleCache::lookup_payload_tier`], counts its hits in
+//! `hits` and `tier_hits` but never a miss, since a counted
+//! [`ShardedScheduleCache::lookup_payload`] backs every first-probe miss.
 //!
 //! [`Fp64`]: cst_core::Fp64
 
@@ -53,201 +37,10 @@ use crate::cache::{CacheStats, ScheduleCache};
 use crate::DegradationReport;
 use cst_comm::{CommSet, Schedule};
 use cst_core::{FaultMask, PowerReport};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Linear-probe window of the hit tier: a lookup or publish examines at
-/// most this many slots past the home slot. Small and fixed so the
-/// read path is branch-predictable and deletion needs no tombstones (a
-/// probe never early-exits on empty slots within the window).
-const TIER_PROBE: usize = 4;
-
-/// One published entry of the [`HitTier`]: the full request key plus the
-/// encoded payload. The key is stored by value so the read path can
-/// equality-check without touching the locked LRU.
-#[derive(Debug)]
-struct TierSlot {
-    fp: u64,
-    router: &'static str,
-    set: CommSet,
-    mask: Option<FaultMask>,
-    payload: Arc<[u8]>,
-}
-
-/// The read-optimized index in front of one shard (see the module docs).
-/// Readers take the `RwLock` in shared mode only; every writer holds the
-/// owning shard's mutex, making the LRU the single writer.
-#[derive(Debug)]
-struct HitTier {
-    slots: RwLock<Vec<Option<TierSlot>>>,
-    /// Index mask (`slots.len() - 1`; slot count is a power of two).
-    index_mask: usize,
-    /// Monotonic publication counter. 0 means nothing was ever published
-    /// (the read path skips the lock entirely); every publish/invalidate/
-    /// purge bumps it with release ordering.
-    generation: AtomicU64,
-    /// Lookups answered here instead of by the locked LRU.
-    hits: AtomicU64,
-}
-
-impl HitTier {
-    fn new(shard_capacity: usize) -> HitTier {
-        // 2x the shard's entry budget keeps the load factor <= 0.5 so
-        // window conflicts (which fall back to the locked LRU — correct,
-        // just slower) stay rare. Capacity 0 disables the shard and the
-        // tier with it.
-        let slots = if shard_capacity == 0 {
-            0
-        } else {
-            (shard_capacity * 2).next_power_of_two().max(8)
-        };
-        HitTier {
-            slots: RwLock::new((0..slots).map(|_| None).collect()),
-            index_mask: slots.wrapping_sub(1),
-            generation: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-        }
-    }
-
-    /// Read a slot table guard, recovering from poisoning: writers only
-    /// mutate `Option` slots, so the table is valid after any panic.
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, Vec<Option<TierSlot>>> {
-        match self.slots.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, Vec<Option<TierSlot>>> {
-        match self.slots.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// The lock-free(-of-exclusive-locks) hit path. `fp` must already be
-    /// masked to the effective fingerprint width.
-    fn lookup(
-        &self,
-        fp: u64,
-        router: &str,
-        set: &CommSet,
-        mask: Option<&FaultMask>,
-    ) -> Option<Arc<[u8]>> {
-        if self.generation.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let found = {
-            let slots = self.read();
-            let mut found = None;
-            for d in 0..TIER_PROBE {
-                let j = (fp as usize).wrapping_add(d) & self.index_mask;
-                if let Some(e) = &slots[j] {
-                    if e.fp == fp
-                        && e.router == router
-                        && e.set == *set
-                        && match (&e.mask, mask) {
-                            (None, None) => true,
-                            (Some(a), Some(b)) => a == b,
-                            _ => false,
-                        }
-                    {
-                        found = Some(Arc::clone(&e.payload));
-                        break;
-                    }
-                }
-            }
-            found
-        };
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Publish a key → payload mapping. Caller must hold the owning
-    /// shard's mutex (single-writer discipline). Prefers the slot already
-    /// holding this fingerprint (overwrite — also how a collision victim
-    /// gets replaced), then the first free slot in the window, then the
-    /// home slot (deterministic conflict victim).
-    fn publish(
-        &self,
-        fp: u64,
-        router: &'static str,
-        set: &CommSet,
-        mask: Option<&FaultMask>,
-        payload: Arc<[u8]>,
-    ) {
-        if self.index_mask == usize::MAX {
-            return; // disabled (0 slots)
-        }
-        let mut slots = self.write();
-        let home = (fp as usize) & self.index_mask;
-        let mut target = home;
-        let mut free = None;
-        for d in 0..TIER_PROBE {
-            let j = (fp as usize).wrapping_add(d) & self.index_mask;
-            match &slots[j] {
-                Some(e) if e.fp == fp => {
-                    target = j;
-                    free = None;
-                    break;
-                }
-                None if free.is_none() => free = Some(j),
-                _ => {}
-            }
-        }
-        if let Some(j) = free {
-            target = j;
-        }
-        slots[target] = Some(TierSlot {
-            fp,
-            router,
-            set: set.clone(),
-            mask: mask.cloned(),
-            payload,
-        });
-        drop(slots);
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    /// Drop the entry for `fp` (an LRU eviction victim), if present.
-    /// Caller must hold the owning shard's mutex.
-    fn invalidate(&self, fp: u64) {
-        if self.index_mask == usize::MAX {
-            return;
-        }
-        let mut slots = self.write();
-        let mut changed = false;
-        for d in 0..TIER_PROBE {
-            let j = (fp as usize).wrapping_add(d) & self.index_mask;
-            if matches!(&slots[j], Some(e) if e.fp == fp) {
-                slots[j] = None;
-                changed = true;
-            }
-        }
-        drop(slots);
-        if changed {
-            self.generation.fetch_add(1, Ordering::Release);
-        }
-    }
-
-    /// Empty the tier and zero its counters (shard `clear`). Resetting the
-    /// generation to 0 re-arms the "never published" fast path.
-    fn purge(&self) {
-        let mut slots = self.write();
-        for s in slots.iter_mut() {
-            *s = None;
-        }
-        drop(slots);
-        self.generation.store(0, Ordering::Release);
-        self.hits.store(0, Ordering::Release);
-    }
-
-    fn hit_count(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-}
+/// One shard: an LRU of encoded payloads.
+type Shard = ScheduleCache<Arc<[u8]>>;
 
 /// A fixed set of independently locked [`ScheduleCache`] shards addressed
 /// by fingerprint high bits. All methods take `&self`; locking is
@@ -255,11 +48,7 @@ impl HitTier {
 /// shareable across worker threads via `Arc`.
 #[derive(Debug)]
 pub struct ShardedScheduleCache {
-    shards: Vec<Mutex<ScheduleCache>>,
-    /// One read-optimized hit tier per shard, indexed in lockstep with
-    /// `shards`. All writes to `tiers[i]` happen while `shards[i]` is
-    /// locked.
-    tiers: Vec<HitTier>,
+    shards: Vec<RwLock<Shard>>,
     shard_bits: u32,
     /// Capacity given to each shard (total capacity rounded up to a
     /// multiple of the shard count).
@@ -292,16 +81,10 @@ impl ShardedScheduleCache {
         let shard_bits = shard_bits.min(8);
         let num_shards = 1usize << shard_bits;
         let shard_capacity = total_capacity.div_ceil(num_shards);
-        let shards = (0..num_shards)
-            .map(|_| {
-                let mut shard = ScheduleCache::new(shard_capacity);
-                shard.set_fp_bits(fp_bits);
-                Mutex::new(shard)
-            })
-            .collect();
-        let tiers = (0..num_shards).map(|_| HitTier::new(shard_capacity)).collect();
+        let shards =
+            (0..num_shards).map(|_| RwLock::new(empty_shard(shard_capacity, fp_bits))).collect();
         let fp_mask = if fp_bits >= 64 { !0 } else { (1u64 << fp_bits) - 1 };
-        ShardedScheduleCache { shards, tiers, shard_bits, shard_capacity, fp_bits, fp_mask }
+        ShardedScheduleCache { shards, shard_bits, shard_capacity, fp_bits, fp_mask }
     }
 
     /// Number of shards (`2^shard_bits`).
@@ -324,27 +107,22 @@ impl ShardedScheduleCache {
         }
     }
 
-    /// Lock one shard, recovering from poisoning: the caches' invariants
-    /// hold between method calls, so a worker that panicked elsewhere
-    /// must not wedge every other worker's cache access.
-    fn shard(&self, idx: usize) -> MutexGuard<'_, ScheduleCache> {
-        match self.shards[idx].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    /// Read-lock one shard, recovering from poisoning: a shard's
+    /// invariants hold between method calls, so a worker that panicked
+    /// elsewhere must not wedge every other worker's cache access.
+    fn read(&self, idx: usize) -> RwLockReadGuard<'_, Shard> {
+        self.shards[idx].read().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Look up the encoded response payload for a request. A hit clones
-    /// the `Arc` (no copy of the bytes) and bumps the entry's recency in
-    /// its shard. Exactly one of hit/miss is counted per call, in the
-    /// owning shard's stats (tier hits count in the shard's `tier_hits`,
-    /// which [`Self::shard_stats`] folds into `hits`).
-    ///
-    /// The hit tier is probed first, without the shard lock; only a tier
-    /// miss falls through to the locked LRU. A tier hit bumps the LRU
-    /// entry's recency via `try_lock` — exact whenever the shard is
-    /// uncontended (in particular in every sequential run), best-effort
-    /// under contention.
+    /// Write-lock one shard, with the same poisoning recovery.
+    fn write(&self, idx: usize) -> RwLockWriteGuard<'_, Shard> {
+        self.shards[idx].write().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Look up the encoded response payload for a request under the
+    /// shard's read lock. A hit clones the `Arc` (no copy of the bytes)
+    /// and stamps the entry most-recently-used. Exactly one of hit/miss
+    /// is counted per call, in the owning shard's stats.
     pub fn lookup_payload(
         &self,
         fp: u64,
@@ -352,17 +130,13 @@ impl ShardedScheduleCache {
         set: &CommSet,
         mask: Option<&FaultMask>,
     ) -> Option<Arc<[u8]>> {
-        if let Some(payload) = self.lookup_payload_tier(fp, router, set, mask) {
-            return Some(payload);
-        }
-        self.shard(self.shard_of(fp)).lookup_payload(fp, router, set, mask)
+        self.read(self.shard_of(fp)).lookup(fp, router, set, mask).cloned()
     }
 
-    /// Probe only the lock-free hit tier — never the locked shard, and
-    /// never counting a miss. A `None` here means "not answerable without
-    /// the shard lock", not "absent": callers that get `None` should
-    /// coalesce or fall through to [`Self::lookup_payload`], which keeps
-    /// hit/miss accounting exact.
+    /// The serve path's first probe: [`Self::lookup_payload`], except
+    /// that a hit also counts in `tier_hits` and a miss counts nothing.
+    /// Callers that get `None` must coalesce or fall through to
+    /// [`Self::lookup_payload`], which keeps hit/miss accounting exact.
     pub fn lookup_payload_tier(
         &self,
         fp: u64,
@@ -370,19 +144,14 @@ impl ShardedScheduleCache {
         set: &CommSet,
         mask: Option<&FaultMask>,
     ) -> Option<Arc<[u8]>> {
-        let idx = self.shard_of(fp);
-        let mfp = fp & self.fp_mask;
-        let payload = self.tiers[idx].lookup(mfp, router, set, mask)?;
-        if let Ok(mut shard) = self.shards[idx].try_lock() {
-            shard.touch(fp, router, set, mask);
-        }
-        Some(payload)
+        self.read(self.shard_of(fp)).first_probe(fp, router, set, mask).cloned()
     }
 
-    /// Insert a routed outcome with its encoded payload into the owning
-    /// shard. The schedule moves in by value; the returned schedule (the
-    /// shard's evicted victim, or the rejected input when capacity is 0)
-    /// should be recycled into the calling worker's pool.
+    /// Store a request's encoded payload in its shard, evicting the
+    /// shard's least-recently-used entry when it is full. Only the
+    /// payload is kept: `power` and `degradation` are already encoded in
+    /// it, and `schedule` comes straight back (always `Some`) so the
+    /// calling worker recycles its own shells.
     #[allow(clippy::too_many_arguments)]
     pub fn insert_with_payload(
         &self,
@@ -391,50 +160,24 @@ impl ShardedScheduleCache {
         set: &CommSet,
         mask: Option<&FaultMask>,
         schedule: Schedule,
-        power: &PowerReport,
-        degradation: Option<&DegradationReport>,
+        _power: &PowerReport,
+        _degradation: Option<&DegradationReport>,
         payload: Arc<[u8]>,
     ) -> Option<Schedule> {
-        let idx = self.shard_of(fp);
-        let mfp = fp & self.fp_mask;
-        let mut shard = self.shard(idx);
-        let out = shard.insert_with_payload(
-            fp,
-            router,
-            set,
-            mask,
-            schedule,
-            power,
-            degradation,
-            Arc::clone(&payload),
-        );
-        // Mirror the LRU mutation into the hit tier *while still holding
-        // the shard mutex*, so tier writes are serialized in LRU order
-        // (the single-writer discipline the tier documents). Readers only
-        // ever take the tier's read lock and a non-blocking `try_lock` on
-        // the shard, so nesting shard-mutex → tier-write-lock cannot
-        // deadlock. Invalidate the eviction victim first so its slot can
-        // be reused by the new key.
-        let tier = &self.tiers[idx];
-        if let Some(victim_fp) = out.evicted_fp {
-            tier.invalidate(victim_fp);
-        }
-        if out.resident {
-            tier.publish(mfp, router, set, mask, payload);
-        }
-        drop(shard);
-        out.displaced
+        // The displaced payload is dropped after the write lock (a
+        // temporary of this statement) is released.
+        let _displaced = self
+            .write(self.shard_of(fp))
+            .insert(fp, router, set, mask)
+            .map(|slot| std::mem::replace(slot, payload));
+        Some(schedule)
     }
 
-    /// Counters of one shard, with that shard's tier hits folded into
-    /// `hits` (and reported separately as `tier_hits`): `hits + misses`
-    /// still equals the payload lookups routed to the shard.
+    /// Counters of one shard: `hits + misses` equals the counted
+    /// lookups routed to it, and `tier_hits` is the share of `hits`
+    /// answered by first probes.
     pub fn shard_stats(&self, idx: usize) -> CacheStats {
-        let mut s = self.shard(idx).stats();
-        let tier = self.tiers[idx].hit_count();
-        s.hits += tier;
-        s.tier_hits = tier;
-        s
+        self.read(idx).stats()
     }
 
     /// Per-shard counters, in shard order.
@@ -464,17 +207,15 @@ impl ShardedScheduleCache {
     /// byte-identical state.
     pub fn clear(&self) {
         for idx in 0..self.shards.len() {
-            let mut fresh = ScheduleCache::new(self.shard_capacity);
-            fresh.set_fp_bits(self.fp_bits);
-            let mut shard = self.shard(idx);
-            *shard = fresh;
-            // Purge the tier under the shard mutex (single-writer
-            // discipline), so no insert can interleave between the LRU
-            // swap and the tier purge.
-            self.tiers[idx].purge();
-            drop(shard);
+            *self.write(idx) = empty_shard(self.shard_capacity, self.fp_bits);
         }
     }
+}
+
+fn empty_shard(capacity: usize, fp_bits: u32) -> Shard {
+    let mut shard = ScheduleCache::new(capacity);
+    shard.set_fp_bits(fp_bits);
+    shard
 }
 
 #[cfg(test)]
@@ -493,6 +234,12 @@ mod tests {
 
     fn payload(i: usize) -> Arc<[u8]> {
         Arc::from(vec![i as u8; 4].into_boxed_slice())
+    }
+
+    fn insert(c: &ShardedScheduleCache, i: usize) {
+        let (fp, set) = key(i);
+        let power = PowerReport::default();
+        c.insert_with_payload(fp, "csa", &set, None, Schedule::default(), &power, None, payload(i));
     }
 
     #[test]
@@ -539,10 +286,8 @@ mod tests {
     /// final counters per shard.
     #[test]
     fn sharded_matches_unsharded_oracle_per_shard() {
-        let total_cap = 8;
-        let bits = 2;
-        let c = ShardedScheduleCache::new(total_cap, bits);
-        let mut oracles: Vec<ScheduleCache> =
+        let c = ShardedScheduleCache::new(8, 2);
+        let mut oracles: Vec<ScheduleCache<Arc<[u8]>>> =
             (0..c.num_shards()).map(|_| ScheduleCache::new(c.shard_capacity())).collect();
 
         // Seeded mixed workload over a working set larger than capacity,
@@ -555,75 +300,31 @@ mod tests {
             let shard = c.shard_of(fp);
 
             let got = c.lookup_payload(fp, "csa", &set, None);
-            let want = oracles[shard].lookup_payload(fp, "csa", &set, None);
-            assert_eq!(
-                got.as_deref(),
-                want.as_deref(),
-                "step {step}: sharded and oracle disagree on key {i}"
-            );
+            let want = oracles[shard].lookup(fp, "csa", &set, None).cloned();
+            assert_eq!(got, want, "step {step}: sharded and oracle disagree on key {i}");
             if got.is_none() {
-                let displaced_sharded = c.insert_with_payload(
-                    fp,
-                    "csa",
-                    &set,
-                    None,
-                    Schedule::default(),
-                    &PowerReport::default(),
-                    None,
-                    payload(i),
-                );
-                let displaced_oracle = oracles[shard].insert_with_payload(
-                    fp,
-                    "csa",
-                    &set,
-                    None,
-                    Schedule::default(),
-                    &PowerReport::default(),
-                    None,
-                    payload(i),
-                );
-                assert_eq!(displaced_sharded.is_some(), displaced_oracle.displaced.is_some());
+                insert(&c, i);
+                if let Some(slot) = oracles[shard].insert(fp, "csa", &set, None) {
+                    *slot = payload(i);
+                }
             }
         }
-        // The oracle has no hit tier, so its hits all count in `hits`
-        // proper; the sharded cache splits them between the tier and the
-        // locked LRU but folds them back together in `shard_stats`. With
-        // the tier's recency touch the *sum* must match the oracle
-        // exactly — field for field once `tier_hits` is zeroed out.
-        let mut total_tier_hits = 0;
         for (idx, oracle) in oracles.iter().enumerate() {
-            let mut got = c.shard_stats(idx);
-            assert!(got.tier_hits <= got.hits);
-            total_tier_hits += got.tier_hits;
-            got.tier_hits = 0;
-            assert_eq!(
-                got,
-                oracle.stats(),
-                "shard {idx} counters diverge from the unsharded oracle"
-            );
+            assert_eq!(c.shard_stats(idx), oracle.stats(), "shard {idx} diverges from its oracle");
         }
-        assert!(total_tier_hits > 0, "a 400-step repeat workload must hit the tier");
     }
 
     #[test]
     fn rollup_equals_sum_of_shard_counters() {
         let c = ShardedScheduleCache::new(8, 2);
-        for round in 0..3 {
+        for _ in 0..3 {
             for i in 0..20 {
                 let (fp, set) = key(i);
-                if c.lookup_payload(fp, "csa", &set, None).is_none() {
-                    c.insert_with_payload(
-                        fp,
-                        "csa",
-                        &set,
-                        None,
-                        Schedule::default(),
-                        &PowerReport::default(),
-                        None,
-                        payload(i),
-                    );
+                if c.lookup_payload_tier(fp, "csa", &set, None).is_none()
+                    && c.lookup_payload(fp, "csa", &set, None).is_none()
+                {
+                    insert(&c, i);
                 }
-                let _ = round;
             }
         }
         let per_shard = c.all_shard_stats();
@@ -636,37 +337,23 @@ mod tests {
         assert_eq!(rollup.capacity, per_shard.iter().map(|s| s.capacity).sum::<usize>());
         assert_eq!(rollup.tier_hits, per_shard.iter().map(|s| s.tier_hits).sum::<u64>());
         assert!(rollup.hits > 0 && rollup.misses > 0, "workload exercised both outcomes");
-        assert!(rollup.tier_hits > 0, "repeat lookups of published keys must hit the tier");
-        assert!(rollup.tier_hits <= rollup.hits, "tier hits are a subset of hits");
+        // Sequentially every hit lands on the first probe.
+        assert_eq!(rollup.tier_hits, rollup.hits);
     }
 
     #[test]
     fn truncated_fingerprints_collide_within_shard_zero() {
         let c = ShardedScheduleCache::with_fp_bits(16, 2, 4);
-        let mut served_other_key = 0;
         for i in 0..32 {
             let (fp, set) = key(i);
             assert_eq!(c.shard_of(fp), 0, "truncated fingerprints all shard to 0");
-            if let Some(p) = c.lookup_payload(fp, "csa", &set, None) {
+            match c.lookup_payload(fp, "csa", &set, None) {
                 // A hit must be *our* payload — collisions are misses.
-                assert_eq!(&*p, &*payload(i), "collision served another key's payload");
-                served_other_key += 1;
-            } else {
-                c.insert_with_payload(
-                    fp,
-                    "csa",
-                    &set,
-                    None,
-                    Schedule::default(),
-                    &PowerReport::default(),
-                    None,
-                    payload(i),
-                );
+                Some(p) => assert_eq!(p, payload(i), "collision served another key's payload"),
+                None => insert(&c, i),
             }
         }
-        let _ = served_other_key;
-        let stats = c.stats();
-        assert!(stats.collisions > 0, "4-bit fingerprints over 32 keys must collide");
+        assert!(c.stats().collisions > 0, "4-bit fingerprints over 32 keys must collide");
         for idx in 1..c.num_shards() {
             let s = c.shard_stats(idx);
             assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0), "shard {idx} should be idle");
@@ -677,132 +364,34 @@ mod tests {
     fn clear_resets_entries_and_counters() {
         let c = ShardedScheduleCache::new(8, 1);
         for i in 0..8 {
-            let (fp, set) = key(i);
-            c.insert_with_payload(
-                fp,
-                "csa",
-                &set,
-                None,
-                Schedule::default(),
-                &PowerReport::default(),
-                None,
-                payload(i),
-            );
+            insert(&c, i);
         }
         assert!(c.stats().entries > 0);
-        // Warm the tier so clear() provably purges it too.
         let (fp, set) = key(7);
-        assert!(c.lookup_payload(fp, "csa", &set, None).is_some());
-        assert!(c.stats().tier_hits > 0);
+        assert!(c.lookup_payload_tier(fp, "csa", &set, None).is_some());
         c.clear();
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries, s.evictions, s.tier_hits), (0, 0, 0, 0, 0));
         assert_eq!(s.capacity, c.num_shards() * c.shard_capacity());
-        // And the purged tier must not serve anything stale.
         assert!(c.lookup_payload(fp, "csa", &set, None).is_none());
         assert_eq!(c.stats().misses, 1);
     }
 
-    /// The first lookup after an insert is already a tier hit (publish
-    /// rides the insert), and the served bytes are the published payload.
+    /// Evicting a key is final: the next lookup is a counted miss, never
+    /// a stale answer, and a first probe of it counts nothing.
     #[test]
-    fn tier_serves_published_payloads_without_the_shard_lock_path() {
-        // Generous capacity so no shard evicts regardless of key skew.
-        let c = ShardedScheduleCache::new(64, 2);
-        for i in 0..8 {
-            let (fp, set) = key(i);
-            c.insert_with_payload(
-                fp,
-                "csa",
-                &set,
-                None,
-                Schedule::default(),
-                &PowerReport::default(),
-                None,
-                payload(i),
-            );
-        }
-        for i in 0..8 {
-            let (fp, set) = key(i);
-            let got = c.lookup_payload(fp, "csa", &set, None).expect("published key must hit");
-            assert_eq!(&*got, &*payload(i));
-            // Full-key equality gates the tier exactly like the LRU: a
-            // different router under the same fingerprint is a miss.
-            assert!(c.lookup_payload(fp, "greedy", &set, None).is_none());
-        }
-        let s = c.stats();
-        assert_eq!(s.hits, 8);
-        assert_eq!(s.tier_hits, 8, "warm lookups are all tier hits");
-        assert_eq!(s.misses, 8);
-    }
-
-    /// Evicting a key from the LRU invalidates its tier entry: the next
-    /// lookup is a counted miss on both layers, never a stale answer.
-    #[test]
-    fn eviction_invalidates_the_tier_entry() {
+    fn eviction_turns_the_next_lookup_into_a_miss() {
         let c = ShardedScheduleCache::new(1, 0); // one shard, one entry
         let (fp_a, set_a) = key(1);
         let (fp_b, set_b) = key(2);
-        c.insert_with_payload(
-            fp_a,
-            "csa",
-            &set_a,
-            None,
-            Schedule::default(),
-            &PowerReport::default(),
-            None,
-            payload(1),
-        );
-        assert!(c.lookup_payload(fp_a, "csa", &set_a, None).is_some());
-        c.insert_with_payload(
-            fp_b,
-            "csa",
-            &set_b,
-            None,
-            Schedule::default(),
-            &PowerReport::default(),
-            None,
-            payload(2),
-        );
+        insert(&c, 1);
+        assert!(c.lookup_payload_tier(fp_a, "csa", &set_a, None).is_some());
+        insert(&c, 2);
         assert_eq!(c.stats().evictions, 1);
+        assert!(c.lookup_payload_tier(fp_a, "csa", &set_a, None).is_none());
         assert!(c.lookup_payload(fp_a, "csa", &set_a, None).is_none(), "evicted key must miss");
-        assert_eq!(&*c.lookup_payload(fp_b, "csa", &set_b, None).unwrap(), &*payload(2));
+        assert_eq!(c.lookup_payload(fp_b, "csa", &set_b, None), Some(payload(2)));
         let s = c.stats();
-        assert_eq!(s.hits + s.misses, 3, "every lookup counted exactly once");
-    }
-
-    /// A tier hit keeps LRU recency exact in sequential runs: hammering
-    /// one key through the tier must still protect it from eviction.
-    #[test]
-    fn tier_hits_keep_lru_recency_exact_when_uncontended() {
-        let c = ShardedScheduleCache::new(2, 0); // one shard, two entries
-        let keys: Vec<_> = (1..=3).map(key).collect();
-        for (i, (fp, set)) in keys.iter().take(2).enumerate() {
-            c.insert_with_payload(
-                *fp,
-                "csa",
-                set,
-                None,
-                Schedule::default(),
-                &PowerReport::default(),
-                None,
-                payload(i + 1),
-            );
-        }
-        // Tier-hit key 0 so key 1 becomes the LRU victim.
-        assert!(c.lookup_payload(keys[0].0, "csa", &keys[0].1, None).is_some());
-        assert_eq!(c.stats().tier_hits, 1);
-        c.insert_with_payload(
-            keys[2].0,
-            "csa",
-            &keys[2].1,
-            None,
-            Schedule::default(),
-            &PowerReport::default(),
-            None,
-            payload(3),
-        );
-        assert!(c.lookup_payload(keys[0].0, "csa", &keys[0].1, None).is_some(), "touched key survives");
-        assert!(c.lookup_payload(keys[1].0, "csa", &keys[1].1, None).is_none(), "untouched key evicted");
+        assert_eq!((s.hits, s.tier_hits, s.misses), (2, 1, 1));
     }
 }

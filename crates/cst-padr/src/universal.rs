@@ -82,8 +82,6 @@ pub fn schedule_any_in(
         right_layers = out.num_layers();
         timings += out.timings;
         csa_power = out.csa_power;
-        // The per-layer CSA shells are dropped, not pooled: handing them
-        // back raised serve-miss peak RSS by ~6%.
         schedule = out.schedule;
         for round in &mut schedule.rounds {
             for id in &mut round.comms {

@@ -7,8 +7,8 @@
 //! A connection is served by one worker, frame by frame, until EOF.
 //!
 //! Cross-worker state lives in [`ServeShared`]: the sharded payload
-//! cache ([`ShardedScheduleCache`], whose lock-free hit tier answers
-//! warm repeats without any exclusive lock), the cross-connection
+//! cache ([`ShardedScheduleCache`], which answers warm repeats under a
+//! shard's shared read lock), the cross-connection
 //! [`SingleFlight`] table, and the atomic [`ServeCounters`]. Workers
 //! never share routing scratch, so the engine's single-caller
 //! invariants hold per-thread by construction; the stress suite
@@ -18,25 +18,26 @@
 //!
 //! # The serve path, in order
 //!
-//! Each route item walks three tiers, cheapest first:
+//! Each route item takes three steps, cheapest first:
 //!
-//! 1. **Hit tier** — a lock-free probe of the shard's front tier. Warm
-//!    repeats end here: atomic generation check, shared read, no
-//!    exclusive lock, no allocation.
-//! 2. **Single-flight join** — on a tier miss the worker joins the
-//!    in-flight table for the fingerprint. If another connection is
+//! 1. **First probe** — the shard's LRU under its read lock. Warm
+//!    repeats end here: shared read, full-key probe, recency stamp,
+//!    `Arc` clone — no exclusive lock, no allocation. A hit counts in
+//!    `hits` and `tier_hits`; a miss counts nothing yet.
+//! 2. **Single-flight join** — on a first-probe miss the worker joins
+//!    the in-flight table for the fingerprint. If another connection is
 //!    already computing the same full key, this one parks on the
 //!    flight's condvar and is served the leader's payload
 //!    (`coalesced_waits`), never touching the cache.
-//! 3. **Locked probe + route** — the join winner (leader) takes the
-//!    shard lock for the authoritative LRU probe; on a genuine miss it
-//!    routes (`computations`, `singleflight_leaders`), publishes the
-//!    payload to the cache *and then* completes the flight, so any
-//!    latecomer is guaranteed either the flight's payload or a cache
-//!    hit — exactly one computation per concurrently-demanded key. A
-//!    leader that fails (route error, panic) fails the flight; waiters
-//!    wake into the locked path and route solo, so the error path adds
-//!    latency but never wrong bytes or a hang.
+//! 3. **Counted probe + route** — the join winner (leader) probes the
+//!    shard again, this time counting a hit or a miss; on a genuine miss
+//!    it routes (`computations`, `singleflight_leaders`), inserts the
+//!    payload under the shard's write lock *and then* completes the
+//!    flight, so any latecomer is guaranteed either the flight's payload
+//!    or a cache hit — exactly one computation per concurrently-demanded
+//!    key. A leader that fails (route error, panic) fails the flight;
+//!    waiters wake into a counted probe and route solo, so the error
+//!    path adds latency but never wrong bytes or a hang.
 //!
 //! Shutdown is cooperative: a flag plus one wake-connection per worker;
 //! workers drain their current connection (read timeouts bound the
@@ -347,9 +348,9 @@ impl WorkerCore {
         Ok(())
     }
 
-    /// Serve one (router, set, mask) item through the three-tier path
-    /// described in the module docs: lock-free tier probe, single-flight
-    /// join, then the locked probe + route. Bumps `requests`; the caller
+    /// Serve one (router, set, mask) item through the three-step path
+    /// described in the module docs: first probe, single-flight join,
+    /// then the counted probe + route. Bumps `requests`; the caller
     /// accounts responses/errors (frame- and item-level counting
     /// differ).
     fn serve_one(
@@ -361,13 +362,13 @@ impl WorkerCore {
         ServeCounters::bump(&self.shared.counters.requests);
         let fp = request_fingerprint(router, set, mask);
 
-        // Tier 1: lock-free. A `None` only means "not answerable without
-        // the shard lock" — hit/miss accounting happens further down.
+        // Step 1: read-locked first probe. A `None` counts nothing —
+        // hit/miss accounting happens further down.
         if let Some(payload) = self.shared.cache.lookup_payload_tier(fp, router, set, mask) {
             return Ok((true, payload));
         }
 
-        // Tier 2: join the in-flight table for this fingerprint.
+        // Step 2: join the in-flight table for this fingerprint.
         match self.shared.flights.join(fp, router, set, mask, FLIGHT_WAIT) {
             Joined::Wait(payload) => {
                 // Another connection computed this exact key while we
@@ -376,14 +377,14 @@ impl WorkerCore {
                 Ok((true, payload))
             }
             Joined::Lead(lease) => {
-                // Tier 3, as the leader: authoritative locked probe. The
-                // tier may simply not have published this key yet.
+                // Step 3, as the leader: the counted probe. Another
+                // worker may have inserted this key since the first probe.
                 if let Some(payload) = self.shared.cache.lookup_payload(fp, router, set, mask) {
                     lease.complete(Arc::clone(&payload));
                     return Ok((true, payload));
                 }
                 // Genuine miss: route on behalf of every waiter. The
-                // cache publish inside `route_and_insert` happens before
+                // cache insert inside `route_and_insert` happens before
                 // `complete`, so a latecomer that finds the flight gone
                 // is guaranteed a cache hit (exactly-once, not racily).
                 match self.route_and_insert(router, set, mask, fp, true) {
@@ -398,8 +399,8 @@ impl WorkerCore {
                 }
             }
             // Fingerprint collision with a different in-flight key, or a
-            // failed/timed-out leader: route solo through the locked
-            // path, never coalescing.
+            // failed/timed-out leader: route solo after a counted probe,
+            // never coalescing.
             Joined::Mismatch | Joined::Failed => {
                 if let Some(payload) = self.shared.cache.lookup_payload(fp, router, set, mask) {
                     return Ok((true, payload));
@@ -410,12 +411,12 @@ impl WorkerCore {
         }
     }
 
-    /// The miss path: route fresh, encode the payload once, publish it
-    /// to the shared cache (schedule moved in by value, evicted victim
-    /// recycled into this worker's pool). `lead` marks a single-flight
-    /// leader; both it and `computations` are counted just before the
-    /// engine route call, so requests rejected earlier (unknown router,
-    /// bad topology) count as neither.
+    /// The miss path: route fresh, encode the payload once, insert it
+    /// into the shared cache, and recycle the outcome into this worker's
+    /// pool (the cache keeps only the payload). `lead` marks a
+    /// single-flight leader; both it and `computations` are counted just
+    /// before the engine route call, so requests rejected earlier
+    /// (unknown router, bad topology) count as neither.
     fn route_and_insert(
         &mut self,
         router_name: &str,
@@ -447,7 +448,7 @@ impl WorkerCore {
         let payload: Arc<[u8]> = Arc::from(payload_buf.as_slice());
 
         let schedule = std::mem::take(&mut outcome.schedule);
-        let victim = shared.cache.insert_with_payload(
+        let returned = shared.cache.insert_with_payload(
             fp,
             outcome.router,
             set,
@@ -457,9 +458,9 @@ impl WorkerCore {
             outcome.degradation.as_ref(),
             Arc::clone(&payload),
         );
-        // Recycle the displaced schedule (eviction victim, or the input
-        // itself when the cache is disabled) and the outcome's meter.
-        outcome.schedule = victim.unwrap_or_default();
+        // The cache hands the schedule straight back: recycle it and the
+        // outcome's meter.
+        outcome.schedule = returned.unwrap_or_default();
         ctx.recycle(outcome);
         Ok(payload)
     }

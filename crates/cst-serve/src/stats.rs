@@ -1,8 +1,8 @@
 //! Service counters and their snapshot form.
 //!
 //! Workers bump lock-free atomic counters ([`ServeCounters`]); the cache
-//! keeps its own per-shard counters under the shard locks. A `Stats`
-//! request (or [`crate::Server::stats`]) freezes both into a
+//! keeps its own atomic counters per shard. A `Stats` request (or
+//! [`crate::Server::stats`]) freezes both into a
 //! [`ServeStats`] snapshot — plain data that serializes to JSON for the
 //! bench reports and to the binary wire form for `Stats` responses.
 //!
@@ -19,7 +19,8 @@
 //!   leader; after a leader failure, recovering waiters route solo, so in
 //!   general `computations >= singleflight_leaders`;
 //! * `cache.tier_hits <= cache.hits` — tier hits are the subset of hits
-//!   answered by the lock-free front tier instead of the locked LRU;
+//!   answered by the first, read-locked probe of the serve path (the
+//!   rest are hits of the counted probe after a single-flight join);
 //! * `cache` equals the field-wise sum of `shards`;
 //! * collisions are counted inside `cache.misses`, and a collision is
 //!   never *served* — the equality fallback reroutes it to a fresh route.

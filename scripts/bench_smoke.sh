@@ -394,8 +394,9 @@ done
 echo "== bench smoke: e16_herd (JSON -> $out_dir/BENCH_e16.json) =="
 # The thundering-herd phase barrier-releases 8 connections onto one
 # fresh key: single-flight coalescing must cost exactly one engine
-# computation, and the contended warm-hit percentiles are the lock-free
-# hit tier's headline numbers. Regenerate the checked-in file with:
+# computation, and the contended warm-hit percentiles are those of the
+# first probe (a shard's LRU under its read lock). Regenerate the
+# checked-in file with:
 #   cargo run --release -q -p cst-tools -- bench-serve --clients 1 \
 #       --reset --herd 8 --bench-json BENCH_e16.json
 cargo run --release -q -p cst-tools -- bench-serve --clients 1 --reset \

@@ -370,8 +370,8 @@ fn thundering_herd_costs_exactly_one_computation() {
 
     // All clients connect first, then release together and demand the
     // same (router, set) key. However the arrivals interleave — parked
-    // on the leader's flight, served by the hit tier, or landing a
-    // locked hit after publish — the engine must route exactly once.
+    // on the leader's flight, served by the first probe, or landing a
+    // counted hit after the insert — the engine must route exactly once.
     let barrier = std::sync::Barrier::new(HERD);
     let payloads: Vec<Vec<u8>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..HERD)
@@ -528,9 +528,12 @@ fn failing_leader_degrades_to_typed_errors_never_a_hang() {
 fn unix_socket_serves_and_resets() {
     let sets = working_sets();
     let topo = CstTopology::with_leaves(PES);
-    let path = "target/serve_stress_unix.sock";
-    let server = Server::bind_unix(path, ServeConfig::default()).expect("bind unix");
-    let mut client = ServeClient::connect_unix(path).expect("connect unix");
+    // Per-process path under the temp dir: independent of the working
+    // directory (and of where cargo puts `target/`), and distinct for
+    // concurrent runs.
+    let path = std::env::temp_dir().join(format!("cst_serve_stress_{}.sock", std::process::id()));
+    let server = Server::bind_unix(&path, ServeConfig::default()).expect("bind unix");
+    let mut client = ServeClient::connect_unix(&path).expect("connect unix");
 
     let first = client.route("csa", &sets[3], None).expect("route");
     assert!(!first.cached);
@@ -548,17 +551,17 @@ fn unix_socket_serves_and_resets() {
     assert!(!third.cached, "the cache is cold again after reset");
     assert_eq!(third.payload, first.payload);
     server.shutdown();
-    assert!(!std::path::Path::new(path).exists(), "shutdown removes the socket file");
+    let removed_by_shutdown = !path.exists();
+    let _ = std::fs::remove_file(&path);
+    assert!(removed_by_shutdown, "shutdown removes the socket file");
 }
 
 #[test]
 fn worker_pools_stay_flat_while_recycling_each_others_evictions() {
-    // Two workers share one small cache, so almost every insert evicts a
-    // schedule and the inserting worker recycles it, whichever worker
-    // routed it. Worker 0 routes small sets and worker 1 large ones, the
-    // lopsided case: unbounded, worker 0's pool keeps the surplus of
-    // every large victim it recycles and grows with each route served
-    // (to ~8400 round shells here).
+    // Two workers share one small cache, so almost every insert evicts.
+    // Worker 0 routes small sets and worker 1 large ones, the lopsided
+    // case: however the cache's churn is split between them, each
+    // worker's pool must stay bounded by what the cache can hold.
     use cst::serve::wire::{decode_payload, decode_response, encode_route_request, Response};
     use cst::serve::{ServeShared, WorkerCore};
     use std::sync::Arc;
