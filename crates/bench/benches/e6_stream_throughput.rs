@@ -1,7 +1,7 @@
 //! E6-stream — streaming front-end throughput: what the schedule cache
-//! and the incremental session buy over route-per-request.
+//! buys over route-per-request.
 //!
-//! Five ids, all n = 1024, density 0.5:
+//! Four ids, all n = 1024, density 0.5:
 //!
 //! * `cached`        — warm cache hit (`route` on a cache-enabled
 //!   context, resident entry):
@@ -15,16 +15,11 @@
 //! * `cold-baseline` — the **same alternating stream** through plain
 //!   `route`: the apples-to-apples no-regression baseline for `cold`
 //!   (alternation alone perturbs the CPU caches, so comparing `cold`
-//!   against the fixed-request `uncached` overstates the overhead);
-//! * `incremental-delta` — an [`IncrementalCsa`] session absorbing a
-//!   two-change delta (detach + re-attach) and re-routing from patched
-//!   counters each iteration.
+//!   against the fixed-request `uncached` overstates the overhead).
 
 use bench::workload;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use cst_comm::{PeChange, SchedulePool};
 use cst_engine::{Csa, EngineCtx, DEFAULT_CACHE_CAPACITY};
-use cst_padr::IncrementalCsa;
 
 fn bench_e6_stream(c: &mut Criterion) {
     let n = 1024usize;
@@ -92,26 +87,6 @@ fn bench_e6_stream(c: &mut Criterion) {
             let out = ctx.route(&Csa, &topo, req).unwrap();
             let rounds = out.rounds;
             ctx.recycle(out);
-            std::hint::black_box(rounds)
-        })
-    });
-
-    // Incremental delta: detach one communication and re-attach it — a
-    // two-change `route_delta` that patches two root paths and re-runs
-    // Phase 2, leaving the set unchanged across iterations.
-    let mut session = IncrementalCsa::new(&topo, &set).unwrap();
-    let mut pool = SchedulePool::new();
-    let victim = set.comms()[set.len() / 2];
-    let delta = [
-        PeChange::Detach { source: victim.source },
-        PeChange::Attach { source: victim.source, dest: victim.dest },
-    ];
-    group.bench_with_input(BenchmarkId::new("incremental-delta", n), &n, |b, _| {
-        b.iter(|| {
-            let out = session.route_delta(&topo, &delta, &mut pool).unwrap();
-            let rounds = out.rounds();
-            pool.put_schedule(out.schedule);
-            pool.put_meter(out.meter);
             std::hint::black_box(rounds)
         })
     });

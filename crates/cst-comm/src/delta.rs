@@ -1,10 +1,8 @@
 //! PE-level deltas: small mutations to a communication set.
 //!
-//! The streaming engine's incremental scheduler (`cst-padr`'s
-//! `IncrementalCsa`) re-aggregates only the root-paths of the leaves a
-//! delta touches — O(k log N) instead of a full O(N) Phase-1 sweep. This
-//! module defines the delta vocabulary ([`PeChange`]) and the set
-//! mutation itself; counter patching lives with the scheduler.
+//! [`PeChange`] is the drift vocabulary of request streams: stream
+//! replay (`cst-tools stream`) and the `bench-serve` soak evolve their
+//! working sets with it, and every drifted set is routed from scratch.
 //!
 //! A change is validated against the *structural* invariants of
 //! [`CommSet::new`] (valid leaves, distinct endpoints, no PE reuse) but
@@ -50,8 +48,7 @@ impl core::fmt::Display for PeChange {
 
 impl CommSet {
     /// Apply one delta, returning the two endpoints of the communication
-    /// that was added or removed — the leaves whose root-paths an
-    /// incremental scheduler must re-aggregate.
+    /// that was added or removed: the leaves the change touched.
     ///
     /// On error the set is unchanged. Detaching shifts the ids of later
     /// communications down by one (ids are positional), identical to

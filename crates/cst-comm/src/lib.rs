@@ -10,8 +10,8 @@
 //! * [`width`] — per-link load and the width `w` (the round lower bound);
 //! * [`schedule`] — the common `Schedule` output type and its verifier;
 //! * [`check`] — the diagnostic round pass shared with `cst-check`;
-//! * [`delta`] — PE-level mutations ([`PeChange`]) for the streaming
-//!   engine's incremental scheduler;
+//! * [`delta`] — PE-level mutations ([`PeChange`]), the drift vocabulary
+//!   of stream replay and the serve soak;
 //! * [`transform`] — set algebra (shift, embed, concat, restrict) and an
 //!   incremental builder;
 //! * [`examples`] — canonical sets, including the paper's figures.

@@ -13,8 +13,6 @@
 //!   (the paper's Fig. 5, completed — see module docs for the derivation);
 //! * [`scheduler`] — the round driver: sweeps, schedule assembly, power
 //!   metering, circuit tracing;
-//! * [`incremental`] — delta routing: persist the counter arena, patch
-//!   only dirty root-paths (`O(k log N)`), re-run Phase 2;
 //! * [`orientation`] — mixed-orientation sets via decomposition+mirroring;
 //! * [`verifier`] — one-call checking of Theorems 4, 5, 8 on an outcome.
 //!
@@ -38,7 +36,6 @@
 //! ```
 
 pub mod degrade;
-pub mod incremental;
 pub mod layers;
 pub mod merge;
 pub mod messages;
@@ -51,7 +48,6 @@ pub mod universal;
 pub mod verifier;
 
 pub use degrade::{partition_by_mask, split_half_duplex, MaskPartition, Reroute, SplitStats};
-pub use incremental::IncrementalCsa;
 pub use layers::{decompose, schedule_layered_in, LayeredOutcome, Layering};
 pub use messages::{DownMsg, ReqKind, UpMsg, WORDS_DOWN, WORDS_UP};
 pub use orientation::{

@@ -91,32 +91,15 @@ impl Phase1 {
         &self.states[node.index()]
     }
 
-    /// Recompute one switch's `C_S`/`C_U` from its children's current
-    /// upward messages (paper Steps 1.2–1.3, Lemma 1). The full sweep
-    /// applies this bottom-up to every switch; the incremental scheduler
-    /// applies it to dirty root-paths only. A table patched this way no
-    /// longer matches a recorded footprint, so the next [`run_into`]
-    /// clears it densely.
-    #[inline]
-    pub fn recompute_switch(&mut self, u: NodeId) {
-        self.forget_footprint();
-        self.aggregate(u);
-    }
-
     /// The switches on the endpoints' root paths, bottom-up, when the
     /// last [`run_into`] took the sparse sweep: every other switch is
-    /// all-zero. `None` after a dense sweep or a hand patch.
+    /// all-zero. `None` after a dense sweep.
     pub(crate) fn footprint(&self) -> Option<&[NodeId]> {
         self.sparse.then_some(&self.footprint[..])
     }
 
-    /// Stop trusting the recorded footprint: the tables may have been
-    /// edited outside [`run_into`], so the next run clears them densely
-    /// and Phase 2 builds its pruning table from every switch.
-    pub(crate) fn forget_footprint(&mut self) {
-        self.sparse = false;
-    }
-
+    /// Recompute one switch's `C_S`/`C_U` from its children's upward
+    /// messages (paper Steps 1.2–1.3, Lemma 1).
     #[inline]
     fn aggregate(&mut self, u: NodeId) {
         let l = self.up_msgs[u.left_child().index()];

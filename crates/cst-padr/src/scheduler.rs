@@ -107,7 +107,7 @@ impl std::ops::AddAssign for CsaTimings {
 /// Reusable buffers for the Phase-2 sweep. Sized lazily to the topology and
 /// kept across calls so steady-state scheduling never touches the allocator.
 #[derive(Debug, Default)]
-pub(crate) struct Phase2Buffers {
+struct Phase2Buffers {
     /// Pairing oracle: source leaf -> (comm id, dest leaf), dense by leaf.
     by_source: Vec<Option<(CommId, LeafId)>>,
     /// Unscheduled matched communications per subtree (pruning).
@@ -261,7 +261,7 @@ pub fn run_phase2_with(
 /// O(footprint): the pruning table is aggregated over the footprint
 /// alone, and the other tables are already neutral from the last
 /// successful sweep.
-pub(crate) fn phase2_core(
+fn phase2_core(
     topo: &CstTopology,
     set: &CommSet,
     p1: &mut Phase1,

@@ -240,6 +240,7 @@ pub fn run_bench_serve(args: &[String]) {
             let idx = rng.gen_range(0..sets.len());
             if !rng.gen_bool(repeat) {
                 let changes = cst_workloads::random_changes(&mut rng, &sets[idx], delta);
+                touched.clear();
                 sets[idx].apply_changes(&changes, &mut touched).map_err(|e| e.to_string())?;
             }
             let t = Instant::now();

@@ -57,9 +57,9 @@ fn random_attach<R: Rng + ?Sized>(
 /// Generate `k` random [`PeChange`]s against `set`, applying each to a
 /// scratch copy so later changes are valid against the evolved set. Every
 /// prefix of the returned chain keeps the set right-oriented and
-/// well-nested, so a `cst_padr::IncrementalCsa` session can route after
-/// each step. Attaches and detaches are mixed roughly evenly; when one
-/// kind is impossible (empty set, or no room to nest) the other is used.
+/// well-nested, so the CSA can route the set after each step. Attaches
+/// and detaches are mixed roughly evenly; when one kind is impossible
+/// (empty set, or no room to nest) the other is used.
 ///
 /// # Examples
 ///

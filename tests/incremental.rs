@@ -1,16 +1,14 @@
-//! Incremental-vs-scratch equivalence: an [`IncrementalCsa`] session fed
-//! random mutation chains must produce, after every delta, a schedule
-//! byte-identical (serde) to routing the mutated set from scratch — and
-//! that schedule must pass the static analyzer. Proptest drives the
-//! chains; a `csa-threaded` case checks the session agrees with the
-//! registry's alias names too.
+//! Routing a set that PE changes drift step by step, as `cst-tools
+//! stream` and bench-serve drift their working sets: after every step
+//! the cached path (miss, then hit) returns exactly the bytes a fresh
+//! CSA routes, clean under the strict analyzer, and a traced route of
+//! the evolved set replays on the reference model.
 
 use cst::check::{analyze, CheckOptions};
 use cst::comm::{CommSet, Schedule, SchedulePool};
-use cst::core::CstTopology;
-use cst::engine::EngineCtx;
-use cst::padr::{CsaScratch, IncrementalCsa};
-use proptest::prelude::*;
+use cst::core::{CstTopology, LeafId, ProtocolTrace};
+use cst::engine::{Csa, EngineCtx, RouteExtra, DEFAULT_CACHE_CAPACITY};
+use cst::padr::CsaScratch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -18,148 +16,89 @@ fn bytes(s: &Schedule) -> String {
     serde_json::to_string(s).unwrap()
 }
 
-/// Route `set` from scratch with a fresh serial CSA.
-fn scratch_route(topo: &CstTopology, set: &CommSet) -> Schedule {
-    let (mut csa, mut pool) = (CsaScratch::new(), SchedulePool::new());
-    csa.schedule(topo, set, &mut pool).unwrap().schedule
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// 1–8 random deltas: after each, the incremental route matches the
-    /// from-scratch route byte-for-byte and the analyzer finds nothing.
-    #[test]
-    fn incremental_matches_scratch_under_mutation_chains(
-        seed in 0u64..1_000_000,
-        steps in 1usize..=8,
-    ) {
-        let n = 128;
-        let topo = CstTopology::with_leaves(n);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let set = cst::workloads::well_nested_with_density(&mut rng, n, 0.4);
-        let mut session = IncrementalCsa::new(&topo, &set).unwrap();
-        let mut pool = SchedulePool::new();
-        for step in 0..steps {
-            let changes = cst::workloads::random_changes(&mut rng, session.set(), 1);
-            let out = session.route_delta(&topo, &changes, &mut pool).unwrap();
-            let fresh = scratch_route(&topo, &session.set().clone());
-            prop_assert_eq!(
-                bytes(&out.schedule), bytes(&fresh),
-                "seed {} step {}: incremental != scratch", seed, step
-            );
-            let report = analyze(&topo, session.set(), &out.schedule, &CheckOptions::strict());
-            prop_assert!(
-                report.is_clean(),
-                "seed {} step {}: analyzer findings:\n{}", seed, step, report.render_text()
-            );
-            pool.put_schedule(out.schedule);
-            pool.put_meter(out.meter);
-        }
-    }
-
-    /// Larger deltas in one batch (up to 8 changes per `route_delta`).
-    #[test]
-    fn batched_deltas_match_scratch(seed in 0u64..1_000_000, k in 2usize..=8) {
-        let n = 256;
-        let topo = CstTopology::with_leaves(n);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xD317A);
-        let set = cst::workloads::well_nested_with_density(&mut rng, n, 0.5);
-        let mut session = IncrementalCsa::new(&topo, &set).unwrap();
-        let mut pool = SchedulePool::new();
-        let changes = cst::workloads::random_changes(&mut rng, session.set(), k);
-        let out = session.route_delta(&topo, &changes, &mut pool).unwrap();
-        let fresh = scratch_route(&topo, &session.set().clone());
-        prop_assert_eq!(bytes(&out.schedule), bytes(&fresh), "seed {}", seed);
-    }
-}
-
-#[test]
-fn incremental_agrees_with_the_threaded_router() {
-    // `csa-threaded` is an alias of the serial CSA; an incremental
-    // session evolving the same set must agree with it after every
-    // delta — streaming clients may mix the two freely.
-    let n = 256;
-    let topo = CstTopology::with_leaves(n);
-    let mut rng = StdRng::seed_from_u64(0x7472EAD);
-    let set = cst::workloads::well_nested_with_density(&mut rng, n, 0.5);
-    let mut session = IncrementalCsa::new(&topo, &set).unwrap();
-    let mut pool = SchedulePool::new();
-    let mut ctx = EngineCtx::new();
-    for step in 0..6 {
-        let changes = cst::workloads::random_changes(&mut rng, session.set(), 2);
-        let inc = session.route_delta(&topo, &changes, &mut pool).unwrap();
-        let threaded = ctx.route_named("csa-threaded", &topo, &session.set().clone()).unwrap();
-        assert_eq!(
-            bytes(&inc.schedule),
-            bytes(&threaded.schedule),
-            "step {step}: incremental != csa-threaded"
-        );
-        ctx.recycle(threaded);
-        pool.put_schedule(inc.schedule);
-        pool.put_meter(inc.meter);
-    }
+/// Apply `k` random PE changes to `set`; each change touches two leaves.
+fn drift(rng: &mut StdRng, set: &mut CommSet, k: usize, touched: &mut Vec<LeafId>) {
+    let changes = cst::workloads::random_changes(rng, set, k);
+    touched.clear();
+    set.apply_changes(&changes, touched).unwrap();
+    assert_eq!(touched.len(), 2 * changes.len());
 }
 
 #[test]
 fn cached_and_incremental_paths_agree() {
-    // Close the loop between the two streaming features: routing the
-    // evolved set through the schedule cache (miss, then hit) returns the
-    // same bytes the incremental session produced.
+    // After every drift step a cache miss and the hit that follows
+    // return the bytes a fresh CSA routes for the evolved set.
     let n = 128;
     let topo = CstTopology::with_leaves(n);
     let mut rng = StdRng::seed_from_u64(0xCAFE);
-    let set = cst::workloads::well_nested_with_density(&mut rng, n, 0.5);
-    let mut session = IncrementalCsa::new(&topo, &set).unwrap();
-    let mut pool = SchedulePool::new();
+    let mut set = cst::workloads::well_nested_with_density(&mut rng, n, 0.5);
     let mut ctx = EngineCtx::new();
-    ctx.enable_cache(cst::engine::DEFAULT_CACHE_CAPACITY);
-    for step in 0..4 {
-        let changes = cst::workloads::random_changes(&mut rng, session.set(), 2);
-        let inc = session.route_delta(&topo, &changes, &mut pool).unwrap();
-        let evolved = session.set().clone();
-        let miss = ctx.route(&cst::engine::Csa, &topo, &evolved).unwrap();
-        let hit = ctx.route(&cst::engine::Csa, &topo, &evolved).unwrap();
-        assert_eq!(bytes(&inc.schedule), bytes(&miss.schedule), "step {step}");
-        assert_eq!(bytes(&inc.schedule), bytes(&hit.schedule), "step {step}");
-        pool.put_schedule(inc.schedule);
-        pool.put_meter(inc.meter);
+    ctx.enable_cache(DEFAULT_CACHE_CAPACITY);
+    let mut touched = Vec::new();
+    for step in 0..8 {
+        drift(&mut rng, &mut set, 2, &mut touched);
+        let (mut csa, mut pool) = (CsaScratch::new(), SchedulePool::new());
+        let fresh = bytes(&csa.schedule(&topo, &set, &mut pool).unwrap().schedule);
+        let miss = ctx.route(&Csa, &topo, &set).unwrap();
+        let hit = ctx.route(&Csa, &topo, &set).unwrap();
+        assert!(
+            !matches!(miss.extra, RouteExtra::Cached { .. }),
+            "step {step}"
+        );
+        assert!(
+            matches!(hit.extra, RouteExtra::Cached { .. }),
+            "step {step}"
+        );
+        for out in [&miss, &hit] {
+            assert_eq!(bytes(&out.schedule), fresh, "step {step}");
+            let report = analyze(&topo, &set, &out.schedule, &CheckOptions::strict());
+            assert!(
+                report.is_clean(),
+                "step {step}: analyzer findings:\n{}",
+                report.render_text()
+            );
+        }
+        ctx.recycle(miss);
+        ctx.recycle(hit);
     }
 }
 
 #[test]
 fn traced_deltas_conform_to_the_reference_model() {
-    // PR satellite: `route_delta` used to be the one scheduling path with
-    // no ProtocolTrace emission. Every delta's trace must now replay
-    // cleanly on the independent reference model (CST2xx family), and
-    // tracing must not change the schedule.
+    // One `CsaScratch` traces the set before and after every drift step:
+    // each trace replays cleanly on the independent reference model
+    // (CST2xx family), and tracing does not change the schedule.
     let n = 64;
     let topo = CstTopology::with_leaves(n);
     let mut rng = StdRng::seed_from_u64(0x7EACE);
-    let set = cst::workloads::well_nested_with_density(&mut rng, n, 0.4);
-    let mut session = IncrementalCsa::new(&topo, &set).unwrap();
-    let mut pool = SchedulePool::new();
-    let mut trace = cst::core::ProtocolTrace::new();
-
-    // The session's full route traces too.
-    let full = session.route_traced(&topo, &mut pool, &mut trace).unwrap();
-    let report = cst::model::conform_trace(session.set(), &trace);
-    assert!(report.is_clean(), "full route trace:\n{}", report.render_text());
-    pool.put_schedule(full.schedule);
-    pool.put_meter(full.meter);
-
-    for step in 0..6 {
-        let changes = cst::workloads::random_changes(&mut rng, session.set(), 2);
-        let out = session.route_delta_traced(&topo, &changes, &mut pool, &mut trace).unwrap();
-        let report = cst::model::conform_trace(session.set(), &trace);
+    let mut set = cst::workloads::well_nested_with_density(&mut rng, n, 0.4);
+    let (mut csa, mut pool) = (CsaScratch::new(), SchedulePool::new());
+    let (mut touched, mut trace) = (Vec::new(), ProtocolTrace::new());
+    for step in 0..7 {
+        if step > 0 {
+            drift(&mut rng, &mut set, 2, &mut touched);
+        }
+        let fresh = bytes(
+            &CsaScratch::new()
+                .schedule(&topo, &set, &mut SchedulePool::new())
+                .unwrap()
+                .schedule,
+        );
+        let traced = csa
+            .schedule_traced(&topo, &set, &mut pool, &mut trace)
+            .unwrap();
+        assert_eq!(
+            bytes(&traced.schedule),
+            fresh,
+            "step {step}: tracing changed the schedule"
+        );
+        let report = cst::model::conform_trace(&set, &trace);
         assert!(
             report.is_clean(),
-            "step {step}: delta trace fails conformance:\n{}",
+            "step {step}: trace fails conformance:\n{}",
             report.render_text()
         );
-        let fresh = scratch_route(&topo, &session.set().clone());
-        assert_eq!(bytes(&out.schedule), bytes(&fresh), "step {step}: tracing changed bytes");
-        pool.put_schedule(out.schedule);
-        pool.put_meter(out.meter);
+        pool.put_schedule(traced.schedule);
+        pool.put_meter(traced.meter);
     }
 }

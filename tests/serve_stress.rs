@@ -557,11 +557,12 @@ fn unix_socket_serves_and_resets() {
 }
 
 #[test]
-fn worker_pools_stay_flat_while_recycling_each_others_evictions() {
+fn worker_pools_stay_flat_under_eviction_churn() {
     // Two workers share one small cache, so almost every insert evicts.
     // Worker 0 routes small sets and worker 1 large ones, the lopsided
-    // case: however the cache's churn is split between them, each
-    // worker's pool must stay bounded by what the cache can hold.
+    // case: each worker gets its own schedules back, and however the
+    // evictions fall between them, each worker's pool must stay bounded
+    // by what the cache can hold.
     use cst::serve::wire::{decode_payload, decode_response, encode_route_request, Response};
     use cst::serve::{ServeShared, WorkerCore};
     use std::sync::Arc;
