@@ -3,10 +3,11 @@
 //!
 //! Workload: random perfect matchings (`arbitrary_permutation`) at
 //! n ∈ {256, 1024, 4096} — n/2 pairs with no well-nested structure,
-//! the worst realistic case for the layering stage. Three figures:
+//! the worst realistic case for the layering stage. Five figures:
 //!
-//! * `decompose/<n>`    — the coloring alone (first-fit orders + DSATUR
-//!   + iterated greedy), no routing: the front-end's added cost;
+//! * `decompose/<n>`    — the whole layering pass (certificate,
+//!   conflict graph, both first-fit orders, layer sets), no routing: the
+//!   front-end's added cost;
 //! * `certificate/<n>`  — the lower-bound certificate alone (endpoint
 //!   cliques + the bound-pruned crossing-clique sweep), one stage of
 //!   `decompose`;
@@ -22,8 +23,7 @@
 //!   fixed routed concatenation; copying is not timed.
 //!
 //! Each size also prints `decompose`'s stage split (certificate /
-//! conflict graph / first-fit / DSATUR / iterated greedy / exact /
-//! build) to stderr.
+//! conflict graph / first-fit / build) to stderr.
 //!
 //! `scripts/bench_smoke.sh` gates the id set, warm-cached ≤
 //! route-layers, and — from the checked-in `BENCH_e14.json` —

@@ -240,6 +240,13 @@ impl Deserialize for RoundConfigs {
     }
 }
 
+/// Entries a round table grown by [`ConfigArena::take_round_into`] has
+/// room for at least: one circuit's switches (`2·log2(n) − 1`) on trees
+/// of up to 2^16 leaves. A pooled table that carried a small round of
+/// one request then still fits a one-circuit round of the next, so a
+/// warm context does not grow it.
+const MIN_TABLE_CAPACITY: usize = 32;
+
 /// Dense per-round scratch: one [`SwitchConfig`] slot per heap index plus
 /// the list of touched switches, so building a round costs O(1) per
 /// connection and resetting costs O(touched) — never O(N).
@@ -329,10 +336,14 @@ impl ConfigArena {
     /// Like [`ConfigArena::take_round`], but writes into `out`, reusing its
     /// allocation. After the first few rounds of a long-lived engine this
     /// path allocates nothing: the table's capacity is recycled round to
-    /// round.
+    /// round. A table that must grow gets room for at least 32 entries
+    /// (see `MIN_TABLE_CAPACITY`).
     pub fn take_round_into(&mut self, out: &mut RoundConfigs) {
         self.touched.sort_unstable_by_key(|n| n.0);
         out.entries.clear();
+        if out.entries.capacity() < self.touched.len() {
+            out.entries.reserve(self.touched.len().max(MIN_TABLE_CAPACITY));
+        }
         out.entries
             .extend(self.touched.iter().map(|&n| (n, self.slots[n.index()])));
         self.clear();
@@ -436,6 +447,8 @@ mod tests {
         assert_eq!(nodes, vec![NodeId(2), NodeId(5)]);
         assert_eq!(r.get(NodeId(2)).unwrap().len(), 2);
         assert_eq!(r.len(), 2);
+        // A fresh table grows to the floor, not to the two entries.
+        assert!(r.entries.capacity() >= MIN_TABLE_CAPACITY);
     }
 
     #[test]

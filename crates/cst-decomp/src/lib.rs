@@ -16,30 +16,28 @@
 //! endpoint** (the paper's Step 1.1 allows each PE one role per set).
 //! That pairwise relation is the whole feasibility condition, so layer
 //! assignment is graph coloring of the conflict graph — a circle-graph
-//! generalization of interval coloring, NP-hard in general. The
-//! algorithm ([`decompose`]):
+//! generalization of interval coloring, NP-hard in general. The layer
+//! count does not set the round count, though: the packer moves each
+//! communication to the earliest free round whatever layer it came
+//! from, so the layering only has to be cheap and legal. The algorithm
+//! ([`decompose`]):
 //!
 //! 0. **Conflict bitset**: the graph is built once, one `u64` row per
 //!    pair (stored up to [`DENSE_LIMIT`] pairs, recomputed per use
-//!    above), and every coloring pass below reads it.
-//! 1. **Greedy coloring**: first-fit in outermost-first and
-//!    conflict-degree order (each layer a member bitset, probed with a
-//!    word-wise `AND` against the vertex's row), plus DSATUR and
-//!    iterated greedy below [`DSATUR_LIMIT`]; the best result wins.
+//!    above).
+//! 1. **First-fit coloring**, twice: in outermost-first order and in
+//!    conflict-degree order (each layer the OR of its members' rows,
+//!    so a fit test is one bit); the one with fewer layers wins.
 //! 2. **Lower-bound certificate**: the max over endpoint multiplicity
 //!    cliques and mutually-crossing cliques (anchored longest-increasing-
 //!    subsequence sweep, exact over all anchors below
 //!    [`STRONG_BOUND_LIMIT`]). The witness — a list of pairwise
 //!    conflicting pair ids — ships with the result and is re-verified by
 //!    `cst-check`'s `CST303` audit.
-//! 3. **Exact refinement**: at or below [`EXACT_LIMIT`] pairs, a
-//!    branch-and-bound search settles the exact chromatic number, so
-//!    small instances are *provably* minimal (the property the oracle
-//!    proptests pin).
 //!
-//! `greedy == bound` (or an exhausted exact search) sets
-//! [`Decomposition::proven_optimal`]. See `docs/DECOMP.md` for the full
-//! story and the composition invariants the `CST3xx` diagnostics audit.
+//! [`Decomposition::proven_optimal`] is set exactly when the layer count
+//! meets the bound. See `docs/DECOMP.md` for the full story and the
+//! composition invariants the `CST3xx` diagnostics audit.
 
 mod assemble;
 mod certificate;
@@ -50,8 +48,5 @@ mod pack;
 pub use assemble::{append_layer, layer_schedule};
 pub use certificate::{certificate, Certificate};
 pub use graph::DENSE_LIMIT;
-pub use layering::{
-    decompose, decompose_timed, DecompTimings, Decomposition, DSATUR_LIMIT, EXACT_LIMIT,
-    STRONG_BOUND_LIMIT,
-};
+pub use layering::{decompose, decompose_timed, DecompTimings, Decomposition, STRONG_BOUND_LIMIT};
 pub use pack::Packer;

@@ -1,8 +1,8 @@
 //! General (arbitrary-set) routing: the layered decomposition front-end.
 //!
 //! A [`GeneralCommSet`] — any multiset-free collection of undirected leaf
-//! pairs — is split by `cst-decomp` into a minimum-count sequence of
-//! right-oriented well-nested layers, each layer is routed through the
+//! pairs — is split by `cst-decomp` into right-oriented well-nested
+//! layers by first-fit coloring, each layer is routed through the
 //! ordinary [`EngineCtx::route`] (so layers flow through the
 //! [`crate::ScheduleCache`] once the context has enabled it), and the per-layer
 //! schedules are concatenated into one composite whose `CommId`s are the
@@ -10,7 +10,9 @@
 //! toward the congestion bound ([`cst_decomp::Packer`]): each
 //! communication, in composite order, moves into the earliest round
 //! where its directed links and PEs are free, so the composite takes at
-//! most `Σ layer_rounds` rounds and usually exactly the bound.
+//! most `Σ layer_rounds` rounds and usually exactly the bound. The
+//! packing, not the layer count, sets the rounds, so the layering does
+//! not search for fewer layers.
 //!
 //! Power accounting is two-sided: `power` meters the packed composite as
 //! one continuous schedule (hold semantics run across round boundaries,
@@ -68,8 +70,7 @@ pub struct GeneralOutcome {
     pub num_layers: usize,
     /// Certificate lower bound on the achievable layer count.
     pub lower_bound: usize,
-    /// `num_layers` is provably minimal (greedy met the bound, or the
-    /// exact search settled it at small sizes).
+    /// `num_layers` meets `lower_bound`, so it is provably minimal.
     pub proven_optimal: bool,
     /// Each layer's standalone round count, in layer order; their sum is
     /// the concatenated length the packing started from.

@@ -37,15 +37,16 @@ gate() {
 # The checked-in BENCH_<exp>.json and the fresh smoke run must both
 # carry exactly the expected ids under one bench prefix.
 ids_gate() {
-    local exp=$1 prefix=$2 want=$3 f got
+    local exp=$1 prefix=$2 want=$3 f got bad=0
     for f in "BENCH_$exp.json" "$out_dir/BENCH_$exp.json"; do
         got="$(grep -o "\"$prefix/[^\"]*\"" "$f" | tr -d '"' | sort -u)"
         if [ "$got" != "$want" ]; then
             echo "$f: $prefix ids drifted from the expected set:" >&2
             diff <(printf '%s\n' "$want") <(printf '%s\n' "$got") >&2 || true
-            exit 1
+            bad=1
         fi
     done
+    [ "$bad" -eq 0 ]
     echo "$exp id gate: both files carry the $(wc -l <<< "$want") $prefix ids"
 }
 
@@ -125,6 +126,7 @@ echo "== bench smoke: e5 layered front ends cost about one CSA run =="
 #     sits between that noise and the pairwise pass's cost.
 front_factor="${E5_FRONT_END_FACTOR:-2.5}"
 e5_front_ends() {
+    local bad=0
     for spec in "BENCH_e5.json same_run_ns 1.5" "$out_dir/BENCH_e5.json e5_schedulers $front_factor"; do
         set -- $spec
         awk -v file="$1" -v section="$2" -v factor="$3" '
@@ -152,8 +154,9 @@ e5_front_ends() {
                     file, val["layered/4096"] / val["csa/4096"], \
                     val["universal/4096"] / val["csa/4096"], factor
             }
-        ' "$1"
+        ' "$1" || bad=1
     done
+    [ "$bad" -eq 0 ]
 }
 gate "e5 layered front ends vs csa" e5_front_ends
 
@@ -242,6 +245,7 @@ echo "== bench smoke: e13 compiled must be no slower than the interpreter =="
 # real gap is ~10x, so even cold noise cannot legitimately invert it)
 # and in the checked-in warm medians.
 e13_compiled() {
+    local bad=0
     for f in BENCH_e13.json "$out_dir/BENCH_e13.json"; do
         awk -v file="$f" '
             /"e13_compiled_replay\// {
@@ -272,8 +276,9 @@ e13_compiled() {
                 }
                 printf "%s: compiled <= interpreter at every size\n", file
             }
-        ' "$f"
+        ' "$f" || bad=1
     done
+    [ "$bad" -eq 0 ]
 }
 gate "e13 compiled vs interpreter" e13_compiled
 
@@ -313,6 +318,7 @@ echo "== bench smoke: e14 warm path must beat fresh layer routing =="
 # the bound-pruned crossing-clique sweep), and packing the composite at
 # or below a tenth of the general route that runs it at n=1024.
 e14_warm() {
+    local bad=0
     for f in BENCH_e14.json "$out_dir/BENCH_e14.json"; do
         awk -v file="$f" '
             /"e14_decomp\// {
@@ -342,24 +348,27 @@ e14_warm() {
                 }
                 printf "%s: warm-cached <= route-layers at every size\n", file
                 # Checked-in medians only: one cold smoke pass is too noisy
-                # to order two figures within 2x of each other.
+                # to order two figures within 2x of each other. Each of
+                # these three is reported before the file fails.
                 if (file == "BENCH_e14.json" && val["decompose/4096"] > val["route-layers/4096"]) {
                     printf "%s: decompose/4096 above route-layers/4096\n", file > "/dev/stderr"
-                    exit 1
+                    bad = 1
                 }
                 if (file == "BENCH_e14.json" && 3 * val["certificate/1024"] > val["decompose/1024"]) {
                     printf "%s: certificate/1024 (%.0f ns) above decompose/1024 / 3 (%.0f ns)\n", \
                         file, val["certificate/1024"], val["decompose/1024"] / 3 > "/dev/stderr"
-                    exit 1
+                    bad = 1
                 }
                 if (file == "BENCH_e14.json" && 10 * val["pack/1024"] > val["route-layers/1024"]) {
                     printf "%s: pack/1024 (%.0f ns) above route-layers/1024 / 10 (%.0f ns)\n", \
                         file, val["pack/1024"], val["route-layers/1024"] / 10 > "/dev/stderr"
-                    exit 1
+                    bad = 1
                 }
+                if (bad) exit 1
             }
-        ' "$f"
+        ' "$f" || bad=1
     done
+    [ "$bad" -eq 0 ]
 }
 gate "e14 warm path and checked-in medians" e14_warm
 
@@ -387,6 +396,7 @@ echo "== bench smoke: e15 cached serve must beat uncached =="
 # under uncached, and the checked-in baseline must hold the 5x
 # acceptance floor (the measured gap is ~18x single-core).
 e15_cached() {
+    local bad=0
     for spec in "BENCH_e15.json 5" "$out_dir/BENCH_e15.json 1"; do
         set -- $spec
         awk -v file="$1" -v factor="$2" '
@@ -407,8 +417,9 @@ e15_cached() {
                 }
                 printf "%s: cached x%d <= uncached\n", file, factor
             }
-        ' "$1"
+        ' "$1" || bad=1
     done
+    [ "$bad" -eq 0 ]
 }
 gate "e15 cached vs uncached" e15_cached
 
@@ -442,6 +453,7 @@ echo "== bench smoke: e16 exactly-one-computation and contended-hit floor =="
 #     the minimum bar everywhere, including single-core runners where
 #     the herd serializes).
 e16_herd() {
+    local bad=0
     for spec in "BENCH_e16.json BENCH_e15.json 5" \
                 "$out_dir/BENCH_e16.json $out_dir/BENCH_e15.json 1"; do
         set -- $spec
@@ -474,8 +486,9 @@ e16_herd() {
                 printf "%s: 1 computation per herd key, contended p50 x%d <= uncached\n", \
                     e16_file, factor
             }
-        ' "$1" "$2"
+        ' "$1" "$2" || bad=1
     done
+    [ "$bad" -eq 0 ]
 }
 gate "e16 one computation and contended-hit floor" e16_herd
 

@@ -8,8 +8,8 @@
 //!   switches, circuits, compatibility, the PADR power model;
 //! * [`comm`] (`cst-comm`) — communication sets, well-nestedness, width;
 //! * [`decomp`] (`cst-decomp`) — layered decomposition front-end: splits
-//!   arbitrary communication sets into minimum-count well-nested layers
-//!   with a lower-bound certificate (see `docs/DECOMP.md`);
+//!   arbitrary communication sets into well-nested layers by first-fit
+//!   coloring, with a lower-bound certificate (see `docs/DECOMP.md`);
 //! * [`check`] (`cst-check`) — static schedule analyzer: typed `CST0xx`
 //!   diagnostics for every invariant (see `docs/DIAGNOSTICS.md`);
 //! * [`padr`] (`cst-padr`) — the paper's Configuration and Scheduling
