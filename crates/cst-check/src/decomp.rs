@@ -17,8 +17,8 @@
 //!   id lists, and the composite schedules each pair exactly once;
 //! * **CST303** — the lower-bound certificate is sound: the witness has
 //!   `lower_bound` distinct members that pairwise conflict, the bound
-//!   does not exceed the layer count actually produced, and meeting the
-//!   bound is claimed as proven optimality.
+//!   does not exceed the layer count actually produced, and optimality
+//!   is claimed exactly when the layer count meets the bound.
 //!
 //! Like every pass here this is structural: it never re-runs the
 //! decomposition, so it audits artifacts from any producer (the engine,
@@ -258,11 +258,18 @@ pub fn check_decomposition(
             ),
         ));
     }
-    if m > 0 && decomp.layers.len() == decomp.lower_bound && !decomp.proven_optimal {
-        report.push(Diagnostic::new(
-            DiagCode::CertificateViolation,
-            "layer count meets the bound but optimality is not claimed".to_string(),
-        ));
+    let meets_bound = decomp.layers.len() == decomp.lower_bound;
+    if m > 0 && decomp.proven_optimal != meets_bound {
+        let message = if meets_bound {
+            "layer count meets the bound but optimality is not claimed".to_string()
+        } else {
+            format!(
+                "optimality claimed with {} layers against a bound of {}",
+                decomp.layers.len(),
+                decomp.lower_bound
+            )
+        };
+        report.push(Diagnostic::new(DiagCode::CertificateViolation, message));
     }
     report
 }

@@ -344,11 +344,13 @@ pub enum DecompMutation {
     CoverageGap,
     /// The claimed lower bound inflated past its witness (`CST303`).
     BogusCertificate,
+    /// Optimality claimed for a layering above its bound (`CST303`).
+    FalseOptimality,
 }
 
 impl DecompMutation {
     /// Every decomposition mutation, in code order.
-    pub const ALL: [DecompMutation; 8] = [
+    pub const ALL: [DecompMutation; 9] = [
         DecompMutation::LayerConflict,
         DecompMutation::SharedLink,
         DecompMutation::SharedPe,
@@ -357,6 +359,7 @@ impl DecompMutation {
         DecompMutation::ExtraRound,
         DecompMutation::CoverageGap,
         DecompMutation::BogusCertificate,
+        DecompMutation::FalseOptimality,
     ];
 
     /// The one diagnostic this corruption must produce.
@@ -369,7 +372,9 @@ impl DecompMutation {
             | DecompMutation::MissingSetting
             | DecompMutation::ExtraRound => DiagCode::LayerRoundOverlap,
             DecompMutation::CoverageGap => DiagCode::DecompCoverage,
-            DecompMutation::BogusCertificate => DiagCode::CertificateViolation,
+            DecompMutation::BogusCertificate | DecompMutation::FalseOptimality => {
+                DiagCode::CertificateViolation
+            }
         }
     }
 }
@@ -526,6 +531,20 @@ pub fn corrupted_decomp(m: DecompMutation) -> DecompFixture {
             // longer certifies the bound (and 3 exceeds the 2 layers).
             f.decomp.lower_bound += 1;
         }
+        DecompMutation::FalseOptimality => {
+            // Split pair #3 = (6,7), disjoint from every other pair, off
+            // into a third layer of its own. The layering stays a legal
+            // partition and the composite stays packed, but three layers
+            // against a bound of 2 are no longer optimal — yet the claim
+            // stands.
+            let j = f.decomp.layer_of[3];
+            f.decomp.layers[j].retain(|&i| i != 3);
+            f.decomp.layer_sets[j] = layer_set_of(&f.gset, &f.decomp.layers[j]);
+            f.decomp.layers.push(vec![3]);
+            f.decomp.layer_sets.push(layer_set_of(&f.gset, &[3]));
+            f.decomp.layer_of[3] = f.decomp.layers.len() - 1;
+            f.layer_rounds = f.decomp.layers.iter().map(Vec::len).collect();
+        }
     }
     f
 }
@@ -558,6 +577,24 @@ mod tests {
         codes.dedup();
         let cst3xx: Vec<_> = DiagCode::ALL.iter().copied().filter(|c| c.is_decomp()).collect();
         assert_eq!(codes, cst3xx);
+        // CST303 guards two claims, the witness and the optimality
+        // verdict: each has its own corruption, named by its finding.
+        let cst303: Vec<_> = DecompMutation::ALL
+            .into_iter()
+            .filter(|m| m.expected_code() == DiagCode::CertificateViolation)
+            .collect();
+        assert_eq!(cst303, [DecompMutation::BogusCertificate, DecompMutation::FalseOptimality]);
+        for (m, finding) in [
+            (DecompMutation::BogusCertificate, "witness has 2 members"),
+            (DecompMutation::FalseOptimality, "optimality claimed with 3 layers"),
+        ] {
+            let report = run_decomp(&corrupted_decomp(m));
+            assert!(
+                report.errors().any(|d| d.message.contains(finding)),
+                "{m:?} must report {finding:?}:\n{}",
+                report.render_text()
+            );
+        }
     }
 
     #[test]

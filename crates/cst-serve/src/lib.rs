@@ -6,7 +6,8 @@
 //! * [`wire`] — the frame codec: requests (`Route`/`Batch`/`Stats`/
 //!   `Reset`), responses, typed error frames, and the cached route
 //!   *payload* (summary + serde schedule bytes) that is the unit the
-//!   shared cache stores.
+//!   shared cache stores, and the [`wire::Reply`] parts the daemon
+//!   writes a response from (payloads by `Arc`, one vectored write).
 //! * [`server`] — the daemon: a pool of worker threads, each pinning one
 //!   warm [`cst_engine::EngineCtx`], in front of one shared
 //!   [`cst_engine::ShardedScheduleCache`] keyed by the same request

@@ -46,14 +46,15 @@
 use crate::stats::{ServeCounters, ServeStats};
 use crate::wire::{
     encode_batch_response, encode_error_response, encode_outcome_payload, encode_reset_response,
-    encode_route_response, encode_stats_response, take_mask, take_set, write_frame, ErrorCode,
-    ErrorFrame, ServedItem, MAX_WIRE_LEAVES, REQ_BATCH, REQ_RESET, REQ_ROUTE, REQ_STATS,
+    encode_route_response, encode_stats_response, fit_frame_buf, take_mask, take_set,
+    write_frame_parts, BodySink, ErrorCode, ErrorFrame, Reply, ServedItem, MAX_WIRE_LEAVES,
+    REQ_BATCH, REQ_RESET, REQ_ROUTE, REQ_STATS,
 };
 use cst_comm::CommSet;
 use cst_core::wire::{WireCursor, WireError};
 use cst_core::{CstTopology, FaultMask};
 use cst_engine::{request_fingerprint, EngineCtx, Joined, ShardedScheduleCache, SingleFlight};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -197,9 +198,16 @@ impl WorkerCore {
     }
 
     /// Serve one request frame body, writing exactly one response frame
-    /// body into `out`. Never panics on arbitrary input: malformed or
-    /// invalid requests become typed error frames.
+    /// body into `out`, payloads copied in. Never panics on arbitrary
+    /// input: malformed or invalid requests become typed error frames.
     pub fn handle_frame(&mut self, body: &[u8], out: &mut Vec<u8>) {
+        self.respond(body, out);
+    }
+
+    /// [`handle_frame`](Self::handle_frame) into any [`BodySink`]. The
+    /// daemon passes a [`Reply`], which holds each served payload as its
+    /// `Arc` instead of copying it.
+    pub fn respond(&mut self, body: &[u8], out: &mut impl BodySink) {
         ServeCounters::bump(&self.shared.counters.frames);
         if let Err(err) = self.dispatch(body, out) {
             ServeCounters::bump(&self.shared.counters.errors);
@@ -207,7 +215,7 @@ impl WorkerCore {
         }
     }
 
-    fn dispatch(&mut self, body: &[u8], out: &mut Vec<u8>) -> Result<(), ErrorFrame> {
+    fn dispatch(&mut self, body: &[u8], out: &mut impl BodySink) -> Result<(), ErrorFrame> {
         let mut cur = WireCursor::new(body);
         let kind = cur.take_u8().map_err(bad_frame)?;
         match kind {
@@ -236,7 +244,11 @@ impl WorkerCore {
 
     /// Route request: decode into scratch (allocation-free when warm),
     /// then serve through the shared cache.
-    fn dispatch_route(&mut self, mut cur: WireCursor<'_>, out: &mut Vec<u8>) -> Result<(), ErrorFrame> {
+    fn dispatch_route(
+        &mut self,
+        mut cur: WireCursor<'_>,
+        out: &mut impl BodySink,
+    ) -> Result<(), ErrorFrame> {
         let router = cur.take_str().map_err(bad_frame)?;
         let num_leaves = cur.take_u64().map_err(bad_frame)?;
         if num_leaves > MAX_WIRE_LEAVES as u64 {
@@ -285,7 +297,11 @@ impl WorkerCore {
     /// an item identical to an earlier one in the same batch (same set
     /// *and* same mask) shares its payload `Arc` instead of re-probing
     /// or re-routing.
-    fn dispatch_batch(&mut self, mut cur: WireCursor<'_>, out: &mut Vec<u8>) -> Result<(), ErrorFrame> {
+    fn dispatch_batch(
+        &mut self,
+        mut cur: WireCursor<'_>,
+        out: &mut impl BodySink,
+    ) -> Result<(), ErrorFrame> {
         let router = cur.take_str().map_err(bad_frame)?;
         let count = cur.take_u32().map_err(bad_frame)? as usize;
         let mut sets: Vec<CommSet> = Vec::with_capacity(count.min(1 << 16));
@@ -529,6 +545,15 @@ impl Write for Stream {
         }
     }
 
+    /// Forwarded so a frame's header and body parts leave in one
+    /// `writev`; the default would write only the first slice.
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            Stream::Unix(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.flush(),
@@ -554,10 +579,11 @@ impl ListenerKind {
     fn accept(&self) -> io::Result<Stream> {
         match self {
             ListenerKind::Tcp(l) => l.accept().map(|(s, _)| {
-                // A response frame is a tiny header write followed by the
-                // body; with Nagle on, the body stalls behind the peer's
-                // delayed ACK (~40ms) — three orders of magnitude above a
-                // warm hit. The client side already disables it.
+                // A response frame can still leave in more than one write
+                // (a partial write, a batch past one vectored call); with
+                // Nagle on, the rest stalls behind the peer's delayed ACK
+                // (~40ms) — three orders of magnitude above a warm hit.
+                // The client side already disables it.
                 let _ = s.set_nodelay(true);
                 Stream::Tcp(s)
             }),
@@ -683,7 +709,7 @@ impl Drop for Server {
 fn worker_loop(listener: ListenerKind, shared: Arc<ServeShared>) {
     let mut core = WorkerCore::new(Arc::clone(&shared));
     let mut inbuf: Vec<u8> = Vec::new();
-    let mut outbuf: Vec<u8> = Vec::new();
+    let mut reply = Reply::default();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -696,7 +722,7 @@ fn worker_loop(listener: ListenerKind, shared: Arc<ServeShared>) {
             return; // the accept was a shutdown wake-up
         }
         ServeCounters::bump(&shared.counters.connections);
-        let _ = serve_conn(stream, &mut core, &shared, &mut inbuf, &mut outbuf);
+        let _ = serve_conn(stream, &mut core, &shared, &mut inbuf, &mut reply);
     }
 }
 
@@ -709,19 +735,23 @@ enum FrameRead {
 
 /// Serve one connection until EOF, error, or shutdown. Any io error just
 /// drops the connection — the daemon itself never dies with a client.
+/// Each response is written from its parts, cached payloads straight
+/// from their `Arc`s, and the parts are let go once written.
 fn serve_conn(
     mut stream: Stream,
     core: &mut WorkerCore,
     shared: &ServeShared,
     inbuf: &mut Vec<u8>,
-    outbuf: &mut Vec<u8>,
+    reply: &mut Reply,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(shared.config.read_timeout_ms.max(1))))?;
     loop {
         match read_frame_interruptible(&mut stream, inbuf, shared)? {
             FrameRead::Frame => {
-                core.handle_frame(inbuf, outbuf);
-                write_frame(&mut stream, outbuf)?;
+                core.respond(inbuf, reply);
+                let written = write_frame_parts(&mut stream, reply.parts());
+                reply.clear();
+                written?;
             }
             FrameRead::Oversize(len) => {
                 // Typed refusal, then drop the connection: the body was
@@ -734,9 +764,10 @@ fn serve_conn(
                         shared.config.max_frame
                     ),
                 };
-                encode_error_response(outbuf, &err);
-                write_frame(&mut stream, outbuf)?;
-                return Ok(());
+                encode_error_response(reply, &err);
+                let written = write_frame_parts(&mut stream, reply.parts());
+                reply.clear();
+                return written;
             }
             FrameRead::Eof | FrameRead::Shutdown => return Ok(()),
         }
@@ -794,8 +825,7 @@ fn read_frame_interruptible(
     if len > shared.config.max_frame {
         return Ok(FrameRead::Oversize(len));
     }
-    buf.clear();
-    buf.resize(len, 0);
+    fit_frame_buf(buf, len);
     match read_full(stream, buf, shared, false)? {
         Fill::Done => Ok(FrameRead::Frame),
         Fill::Shutdown => Ok(FrameRead::Shutdown),

@@ -62,11 +62,12 @@ use cst_core::wire::{
 use cst_core::{CstTopology, DirectedLink, FaultMask, NodeId};
 use cst_engine::{CacheStats, RouteOutcome};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
+use std::sync::Arc;
 
 /// One served batch item on the server side: `(cached, payload)` or a
 /// typed per-item error.
-pub type ServedItem = Result<(bool, std::sync::Arc<[u8]>), ErrorFrame>;
+pub type ServedItem = Result<(bool, Arc<[u8]>), ErrorFrame>;
 
 /// Request frame kinds.
 pub const REQ_ROUTE: u8 = 0x01;
@@ -280,13 +281,51 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Write one frame: `u32` LE body length, then the body.
+/// Write one frame: `u32` LE body length, then the body, in one
+/// `write_vectored` call when the writer takes it all.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(body.len())
+    write_frame_parts(w, std::iter::once(body))
+}
+
+/// Write one frame whose body is `parts` in order (see [`Reply::parts`]):
+/// the length header and the parts go out as up to 128 slices per
+/// `write_vectored` call, and a partial write resumes where the writer
+/// stopped. A Route reply is three slices and a 32-item Batch reply at
+/// most 66, so either takes one call on a socket that accepts it all.
+pub fn write_frame_parts<'a>(
+    w: &mut impl Write,
+    parts: impl Iterator<Item = &'a [u8]> + Clone,
+) -> io::Result<()> {
+    let len = u32::try_from(parts.clone().map(<[u8]>::len).sum::<usize>())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame body exceeds u32"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)?;
-    w.flush()
+    let header = len.to_le_bytes();
+    let mut parts = parts.filter(|p| !p.is_empty());
+    let mut slices = [IoSlice::new(&header); 128];
+    let mut filled = 1; // slot 0 holds the header
+    loop {
+        for (slot, part) in slices[filled..].iter_mut().zip(&mut parts) {
+            *slot = IoSlice::new(part);
+            filled += 1;
+        }
+        if filled == 0 {
+            return w.flush();
+        }
+        write_all_vectored(w, &mut slices[..filled])?;
+        filled = 0;
+    }
+}
+
+/// `write_vectored` until every byte of `bufs` is written.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Read one frame body into `buf` (reused across calls). Returns
@@ -307,10 +346,20 @@ pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>, max: usize) -> Result<bo
     if len > max {
         return Err(FrameError::Oversize { len, max });
     }
-    buf.clear();
-    buf.resize(len, 0);
+    fit_frame_buf(buf, len);
     r.read_exact(buf)?;
     Ok(true)
+}
+
+/// Make `buf` exactly `len` bytes for `read_exact` to overwrite: only
+/// bytes past its current length are zero-filled, so a reused buffer
+/// costs nothing to resize.
+pub(crate) fn fit_frame_buf(buf: &mut Vec<u8>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0);
+    } else {
+        buf.truncate(len);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -657,39 +706,115 @@ pub fn decode_payload(payload: &[u8]) -> Result<(RouteSummary, &[u8]), WireError
 // Response encoding
 // ---------------------------------------------------------------------
 
+/// Where a response encoder writes a body. A `Vec<u8>` takes it flat,
+/// each payload copied in; a [`Reply`] keeps each served payload as the
+/// `Arc` it was served from. Both hold the same bytes in the same order.
+pub trait BodySink {
+    /// Empty the body.
+    fn clear(&mut self);
+    /// The buffer the encoder's own fields are appended to.
+    fn bytes(&mut self) -> &mut Vec<u8>;
+    /// Append one payload as a `u32`-length-prefixed blob.
+    fn put_payload(&mut self, payload: &Arc<[u8]>);
+}
+
+impl BodySink for Vec<u8> {
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+
+    fn bytes(&mut self) -> &mut Vec<u8> {
+        self
+    }
+
+    fn put_payload(&mut self, payload: &Arc<[u8]>) {
+        put_bytes(self, payload);
+    }
+}
+
+/// A response body as parts: the bytes the encoder wrote (`head`) with
+/// each served payload spliced in by reference. The server writes it to
+/// the socket with [`write_frame_parts`], so a cached payload goes from
+/// the cache's `Arc` to the kernel without a copy.
+#[derive(Debug, Default)]
+pub struct Reply {
+    head: Vec<u8>,
+    /// `(at, payload)`: `payload` follows `head[..at]`, in order.
+    payloads: Vec<(usize, Arc<[u8]>)>,
+}
+
+impl Reply {
+    /// The body's parts in wire order: head segments and payloads.
+    pub fn parts(&self) -> impl Iterator<Item = &[u8]> + Clone + '_ {
+        let tail = self.payloads.last().map_or(0, |&(at, _)| at);
+        let mut from = 0;
+        self.payloads
+            .iter()
+            .flat_map(move |(at, payload)| {
+                let segment = &self.head[from..*at];
+                from = *at;
+                [segment, &payload[..]]
+            })
+            .chain(std::iter::once(&self.head[tail..]))
+    }
+}
+
+impl BodySink for Reply {
+    /// Empty the body and let go of the payloads it held.
+    fn clear(&mut self) {
+        self.head.clear();
+        self.payloads.clear();
+    }
+
+    fn bytes(&mut self) -> &mut Vec<u8> {
+        &mut self.head
+    }
+
+    fn put_payload(&mut self, payload: &Arc<[u8]>) {
+        assert!(payload.len() <= u32::MAX as usize, "blob exceeds u32 length prefix");
+        put_u32(&mut self.head, payload.len() as u32);
+        self.payloads.push((self.head.len(), Arc::clone(payload)));
+    }
+}
+
 fn put_error_body(buf: &mut Vec<u8>, err: &ErrorFrame) {
     put_u16(buf, err.code as u16);
     put_str(buf, &err.message);
 }
 
-/// Encode an Error response body into `buf` (cleared first).
-pub fn encode_error_response(buf: &mut Vec<u8>, err: &ErrorFrame) {
-    buf.clear();
+/// Encode an Error response body into `body` (cleared first).
+pub fn encode_error_response(body: &mut impl BodySink, err: &ErrorFrame) {
+    body.clear();
+    let buf = body.bytes();
     put_u8(buf, RESP_ERROR);
     put_error_body(buf, err);
 }
 
-/// Encode a Route response body into `buf` (cleared first).
-pub fn encode_route_response(buf: &mut Vec<u8>, cached: bool, payload: &[u8]) {
-    buf.clear();
+/// Encode a Route response body into `body` (cleared first).
+pub fn encode_route_response(body: &mut impl BodySink, cached: bool, payload: &Arc<[u8]>) {
+    body.clear();
+    let buf = body.bytes();
     put_u8(buf, RESP_ROUTE);
     put_u8(buf, u8::from(cached));
-    put_bytes(buf, payload);
+    body.put_payload(payload);
 }
 
-/// Encode a Batch response body into `buf` (cleared first).
-pub fn encode_batch_response(buf: &mut Vec<u8>, items: &[ServedItem]) {
-    buf.clear();
+/// Encode a Batch response body into `body` (cleared first).
+pub fn encode_batch_response(body: &mut impl BodySink, items: &[ServedItem]) {
+    body.clear();
+    let buf = body.bytes();
     put_u8(buf, RESP_BATCH);
     put_u32(buf, items.len() as u32);
     for item in items {
         match item {
             Ok((cached, payload)) => {
+                let buf = body.bytes();
                 put_u8(buf, 1);
                 put_u8(buf, u8::from(*cached));
-                put_bytes(buf, payload);
+                body.put_payload(payload);
             }
             Err(e) => {
+                let buf = body.bytes();
                 put_u8(buf, 0);
                 put_error_body(buf, e);
             }
@@ -720,11 +845,12 @@ fn take_cache_stats(cur: &mut WireCursor<'_>) -> Result<CacheStats, WireError> {
     })
 }
 
-/// Encode a Stats response body into `buf` (cleared first): the legacy
+/// Encode a Stats response body into `body` (cleared first): the legacy
 /// minor-0 prefix byte-for-byte, then the [`STATS_MINOR`] extension (see
 /// the module docs).
-pub fn encode_stats_response(buf: &mut Vec<u8>, stats: &ServeStats) {
-    buf.clear();
+pub fn encode_stats_response(body: &mut impl BodySink, stats: &ServeStats) {
+    body.clear();
+    let buf = body.bytes();
     put_u8(buf, RESP_STATS);
     put_u64(buf, stats.connections);
     put_u64(buf, stats.frames);
@@ -751,10 +877,10 @@ pub fn encode_stats_response(buf: &mut Vec<u8>, stats: &ServeStats) {
     }
 }
 
-/// Encode a Reset acknowledgment body into `buf` (cleared first).
-pub fn encode_reset_response(buf: &mut Vec<u8>) {
-    buf.clear();
-    put_u8(buf, RESP_RESET);
+/// Encode a Reset acknowledgment body into `body` (cleared first).
+pub fn encode_reset_response(body: &mut impl BodySink) {
+    body.clear();
+    put_u8(body.bytes(), RESP_RESET);
 }
 
 // ---------------------------------------------------------------------

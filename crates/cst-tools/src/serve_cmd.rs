@@ -11,9 +11,12 @@
 //! *thundering-herd* phase runs: `n` barrier-released connections
 //! demand one fresh key (the single-flight layer must cost exactly one
 //! engine computation), then hammer it warm for the contended-hit
-//! p50/p99. With `--clients 1` and `--reset` (and no `--herd`), every
-//! stats field is a pure function of the flags; scripts/ci.sh strips
-//! the timing fields and gates the rest against
+//! p50/p99. Last, after the stats snapshot, the *floor* phase times
+//! Stats-frame round trips on the first connection: they route nothing,
+//! so `cached − floor` is the part of a hit that depends on the server's
+//! work and the payload bytes. With `--clients 1` and `--reset` (and no
+//! `--herd`), every stats field is a pure function of the flags;
+//! scripts/ci.sh strips the timing fields and gates the rest against
 //! `scripts/serve_golden.json`.
 
 use crate::{flag_value, typed_flag};
@@ -321,6 +324,17 @@ pub fn run_bench_serve(args: &[String]) {
         Err(e) => die("stats fetch failed", e),
     };
 
+    // Phase 5 — floor: Stats-frame round trips on the same connection.
+    // It runs after the snapshot above so the reported counters stay a
+    // pure function of the flags.
+    let t3 = Instant::now();
+    for _ in 0..requests {
+        if let Err(e) = client.stats() {
+            die("floor stats fetch failed", e);
+        }
+    }
+    let floor_ns_per_req = (t3.elapsed().as_nanos() / requests.max(1) as u128) as u64;
+
     let report = BenchServeReport {
         router,
         pes,
@@ -367,9 +381,11 @@ pub fn run_bench_serve(args: &[String]) {
         } else {
             format!(
                 "{{\n  \"e15_serve/uncached/{pes}\": {},\n  \"e15_serve/cached/{pes}\": {},\n  \
+                 \"e15_serve/floor/{pes}\": {},\n  \
                  \"e15_serve/soak-p50/{pes}\": {},\n  \"e15_serve/soak-p99/{pes}\": {}\n}}\n",
                 report.uncached_ns_per_req,
                 report.cached_ns_per_req,
+                floor_ns_per_req,
                 report.soak_p50_ns,
                 report.soak_p99_ns,
             )
@@ -396,10 +412,12 @@ pub fn run_bench_serve(args: &[String]) {
             report.requests,
         );
         println!(
-            "uncached {} ns/req, cached {} ns/req ({:.1}x), soak p50 {} ns p99 {} ns ({} req/s)",
+            "uncached {} ns/req, cached {} ns/req ({:.1}x), floor {} ns/req, \
+             soak p50 {} ns p99 {} ns ({} req/s)",
             report.uncached_ns_per_req,
             report.cached_ns_per_req,
             report.speedup,
+            floor_ns_per_req,
             report.soak_p50_ns,
             report.soak_p99_ns,
             report.soak_requests_per_sec,

@@ -374,7 +374,7 @@ gate "e14 warm path and checked-in medians" e14_warm
 
 echo "== bench smoke: e15_serve (JSON -> $out_dir/BENCH_e15.json) =="
 # bench-serve self-hosts a daemon on an ephemeral loopback port and
-# drives it uncached / cached / soak; --bench-json emits the headline
+# drives it uncached / cached / soak / floor; --bench-json emits the headline
 # numbers in the BENCH id scheme. Regenerate the checked-in file with:
 #   cargo run --release -q -p cst-tools -- bench-serve \
 #       --bench-json BENCH_e15.json
@@ -383,8 +383,9 @@ cargo run --release -q -p cst-tools -- bench-serve --clients 1 --reset \
 
 echo "== bench smoke: e15 bench IDs =="
 # Both the fresh smoke run and the checked-in baseline must carry
-# exactly the four serve ids at the default 1024-PE size.
+# exactly the five serve ids at the default 1024-PE size.
 e15_ids="e15_serve/cached/1024
+e15_serve/floor/1024
 e15_serve/soak-p50/1024
 e15_serve/soak-p99/1024
 e15_serve/uncached/1024"

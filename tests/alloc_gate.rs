@@ -358,8 +358,9 @@ fn warm_serve_worker_cached_request_allocates_zero_bytes() {
     // The daemon's streaming guarantee (docs/SERVE.md): a worker serving
     // a repeated cached unmasked Route frame is pure scratch reuse —
     // borrowed-slice decode into the pooled set, shared-cache probe, one
-    // `Arc` payload clone, response bytes into the caller's buffer. Once
-    // warm, none of that touches the heap.
+    // `Arc` payload clone, response bytes into the caller's buffer (or,
+    // on the socket path, the reply's parts). Once warm, none of that
+    // touches the heap.
     use cst::serve::wire::encode_route_request;
     use cst::serve::{ServeConfig, ServeShared, WorkerCore};
 
@@ -391,4 +392,26 @@ fn warm_serve_worker_cached_request_allocates_zero_bytes() {
     assert_eq!(out[0], cst::serve::wire::RESP_ROUTE);
     assert_eq!(out[1], 1);
     assert_eq!(out[2..], expected[2..], "cached payload bytes match the cold route");
+
+    // The socket path: the same reply built as parts, the payload held
+    // by its `Arc`, and written as one vectored frame. Settle once, then
+    // it too must stay off the heap.
+    use cst::serve::wire::BodySink;
+    let mut reply = cst::serve::wire::Reply::default();
+    let mut wire: Vec<u8> = Vec::with_capacity(out.len() + 4);
+    let mut serve = |reply: &mut cst::serve::wire::Reply, wire: &mut Vec<u8>| {
+        wire.clear();
+        core.respond(&req, reply);
+        cst::serve::wire::write_frame_parts(wire, reply.parts()).expect("write to a Vec");
+        reply.clear();
+    };
+    serve(&mut reply, &mut wire);
+    let (warm, ()) = alloc_counter::measure(|| serve(&mut reply, &mut wire));
+    assert_eq!(
+        (warm.allocations, warm.bytes_allocated),
+        (0, 0),
+        "a warm worker writing a cached reply from its parts must not touch the heap: {warm:?}"
+    );
+    assert_eq!(wire[..4], (out.len() as u32).to_le_bytes());
+    assert_eq!(wire[4..], out[..], "the parts path writes the handle_frame bytes");
 }

@@ -14,9 +14,13 @@ use cst::serve::wire::{
     encode_batch_request, encode_batch_response, encode_error_response, encode_outcome_payload,
     encode_payload, encode_request, encode_reset_request, encode_route_request,
     encode_route_response, encode_stats_request, encode_stats_response, read_frame, write_frame,
-    DegradationSummary, FrameError, DEFAULT_MAX_FRAME, MAX_WIRE_LEAVES, STATS_MINOR,
+    write_frame_parts, DegradationSummary, FrameError, Reply, DEFAULT_MAX_FRAME, MAX_WIRE_LEAVES,
+    STATS_MINOR,
 };
-use cst::serve::{ErrorCode, ErrorFrame, Request, Response, ServeConfig, ServeShared, ServeStats, WorkerCore};
+use cst::serve::{
+    ErrorCode, ErrorFrame, Request, Response, ServeConfig, ServeCounters, ServeShared, ServeStats,
+    Server, WorkerCore,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -498,18 +502,22 @@ fn trailing_garbage_is_rejected() {
 #[test]
 fn oversized_and_truncated_frames_are_typed_io_errors() {
     // A header claiming more than the cap is refused before any
-    // allocation — including the hostile u32::MAX length.
+    // allocation or body read — including the hostile u32::MAX length.
     for claimed in [1025u32, u32::MAX] {
         let mut wire = Vec::new();
         wire.extend_from_slice(&claimed.to_le_bytes());
+        wire.extend_from_slice(&[0x55; 1025]);
+        let mut r = wire.as_slice();
         let mut body = Vec::new();
-        match read_frame(&mut wire.as_slice(), &mut body, 1024) {
+        match read_frame(&mut r, &mut body, 1024) {
             Err(FrameError::Oversize { len, max }) => {
                 assert_eq!(len, claimed as usize);
                 assert_eq!(max, 1024);
             }
             other => panic!("expected Oversize, got {other:?}"),
         }
+        assert_eq!(r.len(), 1025, "only the 4 header bytes were consumed");
+        assert_eq!(body.capacity(), 0, "nothing was allocated for the body");
     }
 
     // A frame cut off mid-body surfaces as UnexpectedEof, not a hang or
@@ -532,6 +540,161 @@ fn oversized_and_truncated_frames_are_typed_io_errors() {
     write_frame(&mut wire, b"hello world").expect("write");
     assert!(read_frame(&mut wire.as_slice(), &mut body, DEFAULT_MAX_FRAME).expect("read"));
     assert_eq!(body, b"hello world");
+}
+
+/// A writer that takes at most `k` bytes per call, optionally across
+/// several slices of one `write_vectored` call, and counts its calls.
+struct Trickle {
+    wire: Vec<u8>,
+    k: usize,
+    vectored: bool,
+    calls: usize,
+}
+
+impl std::io::Write for Trickle {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        let n = buf.len().min(self.k);
+        self.wire.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        if !self.vectored {
+            // The default: only the first non-empty slice is written.
+            let first = bufs.iter().find(|b| !b.is_empty()).map_or(&[][..], |b| &b[..]);
+            return self.write(first);
+        }
+        self.calls += 1;
+        let mut n = 0;
+        for b in bufs {
+            let take = b.len().min(self.k - n);
+            self.wire.extend_from_slice(&b[..take]);
+            n += take;
+            if n == self.k {
+                break;
+            }
+        }
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+fn framed(body: &[u8]) -> Vec<u8> {
+    let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+    wire.extend_from_slice(body);
+    wire
+}
+
+#[test]
+fn frames_survive_writers_that_take_a_few_bytes_per_call() {
+    let payload: Arc<[u8]> = (0..=255u8).cycle().take(1000).collect::<Vec<u8>>().into();
+    let mut route = Reply::default();
+    encode_route_response(&mut route, true, &payload);
+    let items = vec![
+        Ok((false, Arc::clone(&payload))),
+        Err(sample_error()),
+        Ok((true, Arc::clone(&payload))),
+        Err(sample_error()),
+    ];
+    let mut batch = Reply::default();
+    encode_batch_response(&mut batch, &items);
+    let (mut route_flat, mut batch_flat) = (Vec::new(), Vec::new());
+    encode_route_response(&mut route_flat, true, &payload);
+    encode_batch_response(&mut batch_flat, &items);
+
+    for k in [1, 3, 4, 5, 4096] {
+        for vectored in [false, true] {
+            let trickle = || Trickle { wire: Vec::new(), k, vectored, calls: 0 };
+            let mut w = trickle();
+            write_frame(&mut w, b"hello world").expect("write_frame");
+            assert_eq!(w.wire, framed(b"hello world"), "k={k} vectored={vectored}");
+            if vectored && k == 4096 {
+                assert_eq!(w.calls, 1, "header and body leave in one vectored call");
+            }
+            for (reply, flat) in [(&route, &route_flat), (&batch, &batch_flat)] {
+                let mut w = trickle();
+                write_frame_parts(&mut w, reply.parts()).expect("write_frame_parts");
+                assert_eq!(w.wire, framed(flat), "k={k} vectored={vectored}");
+            }
+        }
+    }
+}
+
+#[test]
+fn read_frame_reuses_a_longer_buffer_without_a_stale_tail() {
+    // Long frame, short frame, then a frame whose body is cut short: the
+    // reused buffer must hold exactly each body, and the cut one must
+    // still be an io `UnexpectedEof`.
+    let mut wire = framed(&[0xAA; 100]);
+    wire.extend_from_slice(&framed(b"short"));
+    wire.extend_from_slice(&10u32.to_le_bytes());
+    wire.extend_from_slice(b"four");
+    let mut r = wire.as_slice();
+    let mut body = Vec::new();
+    assert!(read_frame(&mut r, &mut body, DEFAULT_MAX_FRAME).expect("long frame"));
+    assert_eq!(body, [0xAA; 100]);
+    assert!(read_frame(&mut r, &mut body, DEFAULT_MAX_FRAME).expect("short frame"));
+    assert_eq!(body, b"short");
+    match read_frame(&mut r, &mut body, DEFAULT_MAX_FRAME) {
+        Err(FrameError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+        other => panic!("expected UnexpectedEof, got {other:?}"),
+    }
+}
+
+#[test]
+fn socket_responses_are_the_handle_frame_bytes() {
+    // The daemon writes each response from its parts (cached payloads
+    // straight from their `Arc`s); a private worker on its own shared
+    // state, fed the same frames, writes the flat `handle_frame` body.
+    // Frame for frame the socket must carry exactly `len ‖ body`.
+    let config = ServeConfig { workers: 1, ..ServeConfig::default() };
+    let path = std::env::temp_dir().join(format!("cst_wire_proto_{}.sock", std::process::id()));
+    let server = Server::bind_unix(&path, config.clone()).expect("bind unix");
+    let shared = Arc::new(ServeShared::new(config));
+    // The daemon counts the accepted connection outside `handle_frame`.
+    ServeCounters::bump(&shared.counters.connections);
+    let mut core = WorkerCore::new(shared);
+
+    let mut rng = StdRng::seed_from_u64(0xB17E);
+    let set = cst::workloads::well_nested_with_density(&mut rng, 256, 0.6);
+    let other = cst::workloads::well_nested_with_density(&mut rng, 64, 0.6);
+    let crossing = CommSet::from_pairs(8, &[(0, 4), (2, 6)]);
+    let mut frames: Vec<(&str, Vec<u8>)> = Vec::new();
+    let mut body = Vec::new();
+    encode_route_request(&mut body, "csa", &set, None);
+    frames.push(("route miss", body.clone()));
+    frames.push(("route hit", body.clone()));
+    encode_route_request(&mut body, "csa", &sample_set(), Some(&sample_mask()));
+    frames.push(("masked route", body.clone()));
+    encode_batch_request(&mut body, "csa", &[other.clone(), crossing, other, set]);
+    frames.push(("batch with a duplicate and a failing item", body.clone()));
+    encode_stats_request(&mut body);
+    frames.push(("stats", body.clone()));
+
+    let mut sock = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+    // A reply shorter than expected must fail the test, not hang it.
+    sock.set_read_timeout(Some(std::time::Duration::from_secs(10))).expect("read timeout");
+    let mut expected = Vec::new();
+    for (what, body) in &frames {
+        write_frame(&mut sock, body).expect("send");
+        core.handle_frame(body, &mut expected);
+        let mut got = vec![0u8; 4 + expected.len()];
+        std::io::Read::read_exact(&mut sock, &mut got).expect("response bytes");
+        assert_eq!(got, framed(&expected), "{what}");
+        if what.starts_with("batch") {
+            let Ok(Response::Batch(items)) = decode_response(&expected) else {
+                panic!("{what}: expected a Batch response");
+            };
+            assert!(items[1].is_err(), "the crossing item fails");
+            assert!(items[2].as_ref().is_ok_and(|r| r.cached), "the duplicate is served cached");
+        }
+    }
+    drop(sock);
+    server.shutdown();
 }
 
 #[test]
