@@ -130,7 +130,7 @@ fn bench_e14(c: &mut Criterion) {
                     let mut pool = pool.borrow_mut();
                     packer.pack(
                         &topo,
-                        &gset,
+                        gset.pairs(),
                         &mut composite,
                         &layer_rounds,
                         &mut layer_round,

@@ -37,7 +37,7 @@
 //! them.
 
 use cst_comm::{CommId, Schedule, SchedulePool};
-use cst_core::{CircuitTable, CstTopology, GeneralCommSet, LeafId};
+use cst_core::{CircuitTable, CstTopology, LeafId};
 
 /// Fewest pairs a row needs for a dense bitset, or a quarter of the
 /// composite's word count when that is more, so a dense row takes about
@@ -95,7 +95,9 @@ impl Packer {
 
     /// Re-time `composite` in place: the concatenation of the layers'
     /// schedules (layer `j` owning the `layer_rounds[j]` rounds after the
-    /// ones before it), whose `CommId`s are `gset`'s pair ids.
+    /// ones before it), whose `CommId`s index `pairs`. Each pair is
+    /// directed `(source, dest)`: its loads, rows and switch settings
+    /// follow its own direction, so a layer may be left-oriented.
     ///
     /// Fills `layer_round[i]` with pair `i`'s round inside its own
     /// layer's schedule (provenance for per-layer audits; see
@@ -108,14 +110,13 @@ impl Packer {
     pub fn pack(
         &mut self,
         topo: &CstTopology,
-        gset: &GeneralCommSet,
+        pairs: &[(LeafId, LeafId)],
         composite: &mut Schedule,
         layer_rounds: &[usize],
         layer_round: &mut Vec<u32>,
         pool: &mut SchedulePool,
     ) -> bool {
         let n = topo.num_leaves();
-        let pairs = gset.pairs();
         debug_assert_eq!(layer_rounds.iter().sum::<usize>(), composite.num_rounds());
 
         layer_round.clear();
@@ -341,33 +342,31 @@ fn for_each_row(n: usize, s: LeafId, d: LeafId, mut visit: impl FnMut(usize)) {
 mod tests {
     use super::*;
     use crate::{append_layer, decompose};
-    use cst_comm::Round;
-    use cst_core::{Circuit, ConfigArena};
+    use cst_comm::{CommSet, Round};
+    use cst_core::{Circuit, ConfigArena, GeneralCommSet};
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use std::collections::HashSet;
 
     /// The PEs (`false`) and directed links (`true`) a round or pair uses.
     type Uses = HashSet<(bool, usize)>;
 
-    /// Concatenate every layer of `gset` as the engine would, each layer
-    /// scheduled by a greedy link- and PE-disjoint first fit in layer
-    /// order (a legal schedule under any router contract).
-    fn concatenation(topo: &CstTopology, gset: &GeneralCommSet) -> (Schedule, Vec<usize>) {
-        let d = decompose(gset);
+    /// Concatenate `bands` (disjoint lists of ids into `pairs`) as the
+    /// engine would, each band scheduled by a greedy link- and
+    /// PE-disjoint first fit in band order (a legal schedule under any
+    /// router contract).
+    fn concatenation(
+        topo: &CstTopology,
+        pairs: &[(LeafId, LeafId)],
+        bands: &[Vec<usize>],
+    ) -> (Schedule, Vec<usize>) {
         let mut composite = Schedule::default();
         let mut layer_rounds = Vec::new();
-        for ids in &d.layers {
+        for ids in bands {
             let mut rounds: Vec<(Vec<usize>, Uses)> = Vec::new();
             for (k, &i) in ids.iter().enumerate() {
-                let (s, d) = gset.pairs()[i];
-                let mut uses: Uses = [(false, s.0), (false, d.0)].into();
-                uses.extend(
-                    Circuit::right_oriented(topo, s, d)
-                        .links
-                        .iter()
-                        .map(|l| (true, l.dense_index())),
-                );
+                let uses = uses_of(topo, pairs[i]);
                 match rounds.iter_mut().find(|(_, used)| used.is_disjoint(&uses)) {
                     Some((members, used)) => {
                         members.push(k);
@@ -381,7 +380,7 @@ mod tests {
                     .iter()
                     .map(|(locals, _)| {
                         let global: Vec<usize> = locals.iter().map(|&k| ids[k]).collect();
-                        let mut round = one_round(topo, gset, &global);
+                        let mut round = one_round(topo, pairs, &global);
                         round.comms = locals.iter().map(|&k| CommId(k)).collect();
                         round
                     })
@@ -393,27 +392,32 @@ mod tests {
         (composite, layer_rounds)
     }
 
-    /// A round scheduling input pairs `ids`.
-    fn one_round(topo: &CstTopology, gset: &GeneralCommSet, ids: &[usize]) -> Round {
+    /// The PEs and directed links of the circuit `source -> dest`.
+    fn uses_of(topo: &CstTopology, (s, d): (LeafId, LeafId)) -> Uses {
+        let links = Circuit::between(topo, s, d).links;
+        let pes = [(false, s.0), (false, d.0)];
+        pes.into_iter().chain(links.iter().map(|l| (true, l.dense_index()))).collect()
+    }
+
+    /// A round scheduling pairs `ids`.
+    fn one_round(topo: &CstTopology, pairs: &[(LeafId, LeafId)], ids: &[usize]) -> Round {
         let mut arena = ConfigArena::new(topo);
         for &i in ids {
-            let (s, d) = gset.pairs()[i];
-            for (node, c) in Circuit::right_oriented(topo, s, d).settings {
+            let (s, d) = pairs[i];
+            for (node, c) in Circuit::between(topo, s, d).settings {
                 arena.set(node, c).unwrap();
             }
         }
         Round { comms: ids.iter().map(|&i| CommId(i)).collect(), configs: arena.take_round() }
     }
 
-    /// Congestion bound straight from the circuits.
-    fn naive_bound(topo: &CstTopology, gset: &GeneralCommSet) -> usize {
+    /// Congestion bound straight from the circuits: the most pairs on one
+    /// PE or one directed link.
+    fn naive_bound(topo: &CstTopology, pairs: &[(LeafId, LeafId)]) -> usize {
         let mut load = std::collections::HashMap::new();
-        for &(s, d) in gset.pairs() {
-            for key in [(0, s.0), (0, d.0)] {
+        for &pair in pairs {
+            for key in uses_of(topo, pair) {
                 *load.entry(key).or_insert(0) += 1;
-            }
-            for link in Circuit::right_oriented(topo, s, d).links {
-                *load.entry((1, link.dense_index())).or_insert(0) += 1;
             }
         }
         load.values().copied().max().unwrap_or(0)
@@ -443,11 +447,12 @@ mod tests {
             let topo = CstTopology::with_leaves(n);
             let m = rng.gen_range(1..2 * n);
             let gset = random_set(&mut rng, n, m);
-            let (composite, layer_rounds) = concatenation(&topo, &gset);
+            let pairs = gset.pairs();
+            let (composite, layer_rounds) = concatenation(&topo, pairs, &decompose(&gset).layers);
             let (mut layer_round, mut out) = (Vec::new(), composite.clone());
             let repacked =
-                packer.pack(&topo, &gset, &mut out, &layer_rounds, &mut layer_round, &mut pool);
-            assert_eq!(packer.rounds_lower_bound(), naive_bound(&topo, &gset), "case {case}");
+                packer.pack(&topo, pairs, &mut out, &layer_rounds, &mut layer_round, &mut pool);
+            assert_eq!(packer.rounds_lower_bound(), naive_bound(&topo, pairs), "case {case}");
             // Provenance: each pair's round within its layer's band.
             let mut offset = 0;
             for &band in &layer_rounds {
@@ -473,13 +478,13 @@ mod tests {
                 let mut links = HashSet::new();
                 let mut pes = HashSet::new();
                 for &i in &ids {
-                    let (s, d) = gset.pairs()[i];
+                    let (s, d) = pairs[i];
                     assert!(pes.insert(s) && pes.insert(d), "case {case}: a PE plays twice");
-                    for link in Circuit::right_oriented(&topo, s, d).links {
+                    for link in Circuit::between(&topo, s, d).links {
                         assert!(links.insert(link), "case {case}: link {link} shared");
                     }
                 }
-                assert_eq!(round.configs, one_round(&topo, &gset, &ids).configs, "case {case}");
+                assert_eq!(round.configs, one_round(&topo, pairs, &ids).configs, "case {case}");
             }
             assert_eq!(seen.len(), gset.len());
         }
@@ -491,11 +496,12 @@ mod tests {
         // Three nested pairs share the root's links: width 3, bound 3.
         let topo = CstTopology::with_leaves(8);
         let gset = GeneralCommSet::from_pairs(8, &[(0, 7), (1, 6), (2, 5)]);
-        let (composite, layer_rounds) = concatenation(&topo, &gset);
+        let pairs = gset.pairs();
+        let (composite, layer_rounds) = concatenation(&topo, pairs, &decompose(&gset).layers);
         assert_eq!(composite.num_rounds(), 3);
         let (mut packer, mut pool) = (Packer::new(), SchedulePool::new());
         let (mut layer_round, mut out) = (Vec::new(), composite.clone());
-        assert!(!packer.pack(&topo, &gset, &mut out, &layer_rounds, &mut layer_round, &mut pool));
+        assert!(!packer.pack(&topo, pairs, &mut out, &layer_rounds, &mut layer_round, &mut pool));
         assert_eq!(packer.rounds_lower_bound(), 3);
         assert_eq!(out, composite, "left untouched");
     }
@@ -509,11 +515,12 @@ mod tests {
         let topo = CstTopology::with_leaves(8);
         let gset = GeneralCommSet::from_pairs(8, &[(0, 2), (0, 1), (1, 3), (4, 5)]);
         // Every layer scheduled one pair per round, as a router may.
+        let pairs = gset.pairs();
         let d = decompose(&gset);
         let mut composite = Schedule::default();
         for ids in &d.layers {
             let mut layer =
-                Schedule { rounds: ids.iter().map(|&i| one_round(&topo, &gset, &[i])).collect() };
+                Schedule { rounds: ids.iter().map(|&i| one_round(&topo, pairs, &[i])).collect() };
             for (k, round) in layer.rounds.iter_mut().enumerate() {
                 round.comms = vec![CommId(k)];
             }
@@ -523,9 +530,50 @@ mod tests {
         assert_eq!(composite.num_rounds(), 4);
         let (mut packer, mut pool) = (Packer::new(), SchedulePool::new());
         let (mut layer_round, mut out) = (Vec::new(), composite.clone());
-        assert!(packer.pack(&topo, &gset, &mut out, &layer_rounds, &mut layer_round, &mut pool));
+        assert!(packer.pack(&topo, pairs, &mut out, &layer_rounds, &mut layer_round, &mut pool));
         assert_eq!(packer.rounds_lower_bound(), 2);
         assert_eq!(out.num_rounds(), 3);
         assert!(out.rounds[0].comms.contains(&CommId(3)));
+    }
+
+    #[test]
+    fn directed_halves_pack_to_verified_schedules() {
+        // Random matchings: every pair left-oriented, or each flipped with
+        // probability 0.4 and banded as right half then left half, the
+        // bands `general-merged` hands the packer.
+        let mut rng = StdRng::seed_from_u64(0xD1);
+        let (mut packer, mut pool) = (Packer::new(), SchedulePool::new());
+        let mut packed_any = false;
+        for case in 0..60 {
+            let n = [8, 16, 64][case % 3];
+            let topo = CstTopology::with_leaves(n);
+            let pure_left = case % 2 == 0;
+            let mut pes: Vec<usize> = (0..n).collect();
+            pes.shuffle(&mut rng);
+            let raw: Vec<(usize, usize)> = pes[..2 * rng.gen_range(1..=n / 2)]
+                .chunks(2)
+                .map(|p| (p[0].min(p[1]), p[0].max(p[1])))
+                .map(|(a, b)| if pure_left || rng.gen_bool(0.4) { (b, a) } else { (a, b) })
+                .collect();
+            let set = CommSet::from_pairs(n, &raw);
+            let pairs: Vec<_> = set.comms().iter().map(|c| (c.source, c.dest)).collect();
+            let bands: Vec<Vec<usize>> = if pure_left {
+                // Three bands by id, so packing has rounds to share.
+                (0..3).map(|b| (b..raw.len()).step_by(3).collect()).collect()
+            } else {
+                let (right, left) = (0..raw.len()).partition(|&i| raw[i].0 < raw[i].1);
+                vec![right, left]
+            };
+            let (composite, layer_rounds) = concatenation(&topo, &pairs, &bands);
+            let (mut layer_round, mut out) = (Vec::new(), composite.clone());
+            let repacked =
+                packer.pack(&topo, &pairs, &mut out, &layer_rounds, &mut layer_round, &mut pool);
+            assert_eq!(packer.rounds_lower_bound(), naive_bound(&topo, &pairs), "case {case}");
+            assert!(out.num_rounds() <= composite.num_rounds(), "case {case}");
+            assert_eq!(repacked, out.num_rounds() < composite.num_rounds(), "case {case}");
+            out.verify(&topo, &set).unwrap_or_else(|e| panic!("case {case}: {e}"));
+            packed_any |= repacked;
+        }
+        assert!(packed_any, "the sample must exercise packing");
     }
 }

@@ -150,7 +150,7 @@ impl EngineCtx {
         let mut layer_round = std::mem::take(&mut self.layer_round_scratch);
         self.packer.pack(
             topo,
-            gset,
+            gset.pairs(),
             &mut composite,
             &layer_rounds,
             &mut layer_round,

@@ -126,6 +126,21 @@ mod tests {
     }
 
     #[test]
+    fn general_routers_report_phase_split() {
+        // Two right- and two left-oriented pairs: one CSA run per half.
+        let topo = CstTopology::with_leaves(32);
+        let set = CommSet::from_pairs(32, &[(0, 15), (1, 14), (31, 16), (30, 17)]);
+        let mut ctx = EngineCtx::new();
+        for name in ["general", "general-merged"] {
+            let out = ctx.route_named(name, &topo, &set).unwrap();
+            let t = out.timings;
+            assert!(t.validate_ns > 0 && t.phase1_ns > 0 && t.rounds_ns > 0, "{name}: {t:?}");
+            assert!(t.validate_ns + t.phase1_ns + t.rounds_ns <= t.total_ns, "{name}: {t:?}");
+            ctx.recycle(out);
+        }
+    }
+
+    #[test]
     fn universal_router_takes_any_valid_set() {
         let topo = CstTopology::with_leaves(16);
         // mixed orientations and a crossing pair

@@ -8,9 +8,10 @@ use cst_padr::{ControlMetrics, CsaTimings};
 
 /// Wall-clock nanoseconds of one routing request, split by phase where the
 /// router can attribute them. Every router fills `total_ns`; the CSA
-/// family attributes the validate/phase1/rounds split, `layered` and
-/// `universal` report it summed over their per-layer CSA runs, and the
-/// other routers leave those at zero.
+/// family attributes the validate/phase1/rounds split, `layered`,
+/// `universal`, `general` and `general-merged` report it summed over
+/// their per-layer CSA runs (`general`'s well-nestedness check counts as
+/// validation), and the other routers leave those at zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Input validation (orientation + well-nestedness checks).

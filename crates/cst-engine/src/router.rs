@@ -9,7 +9,7 @@ use crate::outcome::{self, PhaseTimings, RouteExtra, RouteOutcome};
 use cst_baseline::{greedy, roy, sequential, LevelOrder, ScanOrder};
 use cst_comm::CommSet;
 use cst_core::{CstError, CstTopology};
-use cst_padr::{layers, merge, orientation, universal, CsaOutcome, Options};
+use cst_padr::{layers, universal, CsaOutcome, Options, UniversalOutcome};
 use std::time::Instant;
 
 /// A scheduler with a stable registry name, routable through a reusable
@@ -152,6 +152,23 @@ impl Router for CsaThreaded {
     }
 }
 
+/// `general`'s composition: the well-nestedness check, then
+/// [`universal::schedule_any_in`], where each oriented half is one
+/// crossing-free layer and so one CSA run (the left half mirrored). The
+/// check's time counts as validation.
+fn general_in(
+    ctx: &mut EngineCtx,
+    topo: &CstTopology,
+    set: &CommSet,
+) -> Result<UniversalOutcome, CstError> {
+    let start = Instant::now();
+    set.require_well_nested()?;
+    let validate_ns = elapsed_ns(start);
+    let mut out = universal::schedule_any_in(&mut ctx.csa, &mut ctx.pool, topo, set)?;
+    out.timings.validate_ns += validate_ns;
+    Ok(out)
+}
+
 /// Mixed-orientation well-nested sets: decompose into oriented halves,
 /// CSA each (left half through the mirror transform), concatenate.
 pub struct General;
@@ -170,28 +187,26 @@ impl Router for General {
         set: &CommSet,
     ) -> Result<RouteOutcome, CstError> {
         let start = Instant::now();
-        let out = orientation::schedule_general_in(&mut ctx.csa, &mut ctx.pool, topo, set)?;
-        let orientation::GeneralOutcome { schedule, right_rounds, left_rounds, right, left } = out;
-        for half in [right, left].into_iter().flatten() {
-            ctx.pool.put_schedule(half.schedule);
-            ctx.pool.put_meter(half.meter);
-        }
-        let power = ctx.meter_schedule(topo, &schedule);
+        let UniversalOutcome { schedule, right_rounds, timings, csa_power, .. } =
+            general_in(ctx, topo, set)?;
+        let power = csa_power.unwrap_or_else(|| ctx.meter_schedule(topo, &schedule));
         let rounds = schedule.num_rounds();
         Ok(RouteOutcome {
             router: self.name(),
             schedule,
             rounds,
             power,
-            timings: PhaseTimings::total_only(elapsed_ns(start)),
-            extra: RouteExtra::General { right_rounds, left_rounds },
+            timings: PhaseTimings::from_csa(timings, elapsed_ns(start)),
+            extra: RouteExtra::General { right_rounds, left_rounds: rounds - right_rounds },
             degradation: None,
         })
     }
 }
 
-/// Like [`General`], but greedily interleaving compatible rounds of the
-/// two halves instead of concatenating them.
+/// Like [`General`], then re-timed by the composite packer with the two
+/// halves as bands: each communication moves into the earliest round
+/// where its directed links and PEs are free, so the halves share rounds
+/// and the schedule never grows.
 pub struct GeneralMerged;
 
 impl Router for GeneralMerged {
@@ -208,15 +223,25 @@ impl Router for GeneralMerged {
         set: &CommSet,
     ) -> Result<RouteOutcome, CstError> {
         let start = Instant::now();
-        let schedule = merge::schedule_general_merged_in(&mut ctx.csa, &mut ctx.pool, topo, set)?;
-        let power = ctx.meter_schedule(topo, &schedule);
+        let UniversalOutcome { mut schedule, right_rounds, timings, csa_power, .. } =
+            general_in(ctx, topo, set)?;
+        let pairs: Vec<_> = set.comms().iter().map(|c| (c.source, c.dest)).collect();
+        let halves = [right_rounds, schedule.num_rounds() - right_rounds];
+        let mut layer_round = std::mem::take(&mut ctx.layer_round_scratch);
+        let repacked =
+            ctx.packer.pack(topo, &pairs, &mut schedule, &halves, &mut layer_round, &mut ctx.pool);
+        ctx.layer_round_scratch = layer_round;
+        let power = match csa_power {
+            Some(power) if !repacked => power,
+            _ => ctx.meter_schedule(topo, &schedule),
+        };
         let rounds = schedule.num_rounds();
         Ok(RouteOutcome {
             router: self.name(),
             schedule,
             rounds,
             power,
-            timings: PhaseTimings::total_only(elapsed_ns(start)),
+            timings: PhaseTimings::from_csa(timings, elapsed_ns(start)),
             extra: RouteExtra::None,
             degradation: None,
         })
@@ -279,8 +304,7 @@ impl Router for Universal {
     ) -> Result<RouteOutcome, CstError> {
         let start = Instant::now();
         let out = universal::schedule_any_in(&mut ctx.csa, &mut ctx.pool, topo, set)?;
-        let universal::UniversalOutcome { schedule, right_layers, left_layers, timings, csa_power } =
-            out;
+        let UniversalOutcome { schedule, right_layers, left_layers, timings, csa_power, .. } = out;
         let power = csa_power.unwrap_or_else(|| ctx.meter_schedule(topo, &schedule));
         let rounds = schedule.num_rounds();
         Ok(RouteOutcome {

@@ -13,7 +13,15 @@
 //!   (the paper's Fig. 5, completed — see module docs for the derivation);
 //! * [`scheduler`] — the round driver: sweeps, schedule assembly, power
 //!   metering, circuit tracing;
-//! * [`orientation`] — mixed-orientation sets via decomposition+mirroring;
+//! * [`orientation`] — the mirror transform that schedules left-oriented
+//!   sets on the reflected tree;
+//! * [`layers`] — crossing-free layering of right-oriented sets (§6), one
+//!   CSA run per layer;
+//! * [`universal`] — the one composition of oriented halves: split, layer
+//!   and CSA each half (the left one mirrored), concatenate;
+//! * [`degrade`] — partitioning a set against a fault mask, and the
+//!   half-duplex repair;
+//! * [`session`] — configuration retention across successive sets;
 //! * [`verifier`] — one-call checking of Theorems 4, 5, 8 on an outcome.
 //!
 //! The host driver is serial. The algorithm is distributed — every
@@ -37,7 +45,6 @@
 
 pub mod degrade;
 pub mod layers;
-pub mod merge;
 pub mod messages;
 pub mod orientation;
 pub mod phase1;
@@ -50,12 +57,9 @@ pub mod verifier;
 pub use degrade::{partition_by_mask, split_half_duplex, MaskPartition, Reroute, SplitStats};
 pub use layers::{decompose, schedule_layered_in, LayeredOutcome, Layering};
 pub use messages::{DownMsg, ReqKind, UpMsg, WORDS_DOWN, WORDS_UP};
-pub use orientation::{
-    mirror_round_configs, schedule_general_in, verify_general, GeneralOutcome,
-};
+pub use orientation::mirror_round_configs;
 pub use universal::{schedule_any_in, UniversalOutcome};
 pub use phase1::{Phase1, SwitchState};
-pub use merge::{merge_schedules, schedule_general_merged_in};
 pub use scheduler::{trace_circuit, ControlMetrics, CsaOutcome, CsaScratch, CsaTimings, Options};
 pub use session::{BatchReport, PadrSession};
 pub use switch_logic::{step, StepError, StepResult};

@@ -8,59 +8,35 @@
 //! CST of the same shape. We run the standard CSA on the mirrored set and
 //! reflect the resulting switch settings back.
 //!
-//! The two halves are run back to back (first all right-oriented rounds,
-//! then all left-oriented ones), which costs `w_right + w_left` rounds.
-//! Interleaving them is possible in principle (opposite orientations use
-//! many opposite link directions) but crossing pairs of opposite
-//! orientation *can* still collide on `p_o`/`l_o`/`r_o` ports, so the
-//! simple composition is what we ship; the bound is at most 2× optimal.
+//! [`crate::universal::schedule_any_in`] is the one routine that
+//! composes the halves: it runs the right half, then the mirrored left
+//! half, back to back (`w_right + w_left` rounds on a well-nested set,
+//! at most 2× optimal). Crossing pairs of opposite orientation can
+//! collide on `p_o`/`l_o`/`r_o` ports, so the halves cannot simply share
+//! rounds; the engine's `general-merged` router re-times the
+//! concatenation with the composite packer, which moves communications
+//! between rounds only where their directed links and PEs are free.
 
-use crate::scheduler::{CsaOutcome, CsaScratch};
-use cst_comm::{CommId, CommSet, Round, Schedule, SchedulePool};
-use cst_core::{Connection, CstError, CstTopology, NodeId, RoundConfigs, Side, SwitchConfig};
-
-/// Outcome of scheduling a mixed-orientation set.
-#[derive(Clone, Debug)]
-pub struct GeneralOutcome {
-    /// Combined schedule, right-oriented rounds first. Communication ids
-    /// refer to the *original* set.
-    pub schedule: Schedule,
-    /// Rounds used by the right-oriented half.
-    pub right_rounds: usize,
-    /// Rounds used by the left-oriented half.
-    pub left_rounds: usize,
-    /// The underlying per-half outcomes.
-    pub right: Option<CsaOutcome>,
-    pub left: Option<CsaOutcome>,
-}
-
-impl GeneralOutcome {
-    /// Total rounds.
-    pub fn rounds(&self) -> usize {
-        self.right_rounds + self.left_rounds
-    }
-}
+use cst_core::{Connection, CstTopology, NodeId, RoundConfigs, Side, SwitchConfig};
 
 /// Mirror a node of the tree: the reflection maps each switch to the
 /// switch covering the reflected leaf interval (same depth, reversed
 /// position within the level).
-fn mirror_node(topo: &CstTopology, node: NodeId) -> NodeId {
-    let d = node.depth();
-    let level_start = 1usize << d;
-    let level_len = 1usize << d;
+fn mirror_node(node: NodeId) -> NodeId {
+    let level_start = 1usize << node.depth();
     let offset = node.index() - level_start;
-    let _ = topo;
-    NodeId(level_start + (level_len - 1 - offset))
+    NodeId(level_start + (level_start - 1 - offset))
 }
 
 /// Mirror a whole round's switch configurations onto the reflected tree.
 /// (Mirroring reverses within-level order, so the result is re-sorted by
-/// `from_entries`.)
-pub fn mirror_round_configs(topo: &CstTopology, configs: &RoundConfigs) -> RoundConfigs {
+/// `from_entries`.) A switch's reflection depends on its heap index
+/// alone, so `_topo` is not read.
+pub fn mirror_round_configs(_topo: &CstTopology, configs: &RoundConfigs) -> RoundConfigs {
     RoundConfigs::from_entries(
         configs
             .iter()
-            .map(|(node, cfg)| (mirror_node(topo, node), mirror_config(cfg)))
+            .map(|(node, cfg)| (mirror_node(node), mirror_config(cfg)))
             .collect(),
     )
 }
@@ -80,106 +56,21 @@ fn mirror_config(cfg: &SwitchConfig) -> SwitchConfig {
     out
 }
 
-/// Schedule a possibly mixed-orientation well-nested set, reusing an
-/// engine's CSA scratch and pool for the per-half CSA runs. (The
-/// decomposition and mirroring themselves build fresh sets; only the
-/// inner CSA runs are allocation-pooled.)
-pub fn schedule_general_in(
-    csa: &mut CsaScratch,
-    pool: &mut SchedulePool,
-    topo: &CstTopology,
-    set: &CommSet,
-) -> Result<GeneralOutcome, CstError> {
-    set.require_well_nested()?;
-    let (right_half, left_half) = set.decompose();
-
-    let mut schedule = Schedule::default();
-    let mut right_rounds = 0;
-    let mut left_rounds = 0;
-
-    let right_out = if right_half.set.is_empty() {
-        None
-    } else {
-        let out = csa.schedule(topo, &right_half.set, pool)?;
-        right_rounds = out.rounds();
-        for round in &out.schedule.rounds {
-            schedule.rounds.push(Round {
-                comms: round.comms.iter().map(|&c| right_half.original[c.0]).collect(),
-                configs: round.configs.clone(),
-            });
-        }
-        Some(out)
-    };
-
-    let left_out = if left_half.set.is_empty() {
-        None
-    } else {
-        // Mirror, schedule, reflect back.
-        let mirrored = left_half.set.mirrored();
-        let out = csa.schedule(topo, &mirrored, pool)?;
-        left_rounds = out.rounds();
-        for round in &out.schedule.rounds {
-            schedule.rounds.push(Round {
-                comms: round.comms.iter().map(|&c| left_half.original[c.0]).collect(),
-                configs: mirror_round_configs(topo, &round.configs),
-            });
-        }
-        Some(out)
-    };
-
-    Ok(GeneralOutcome { schedule, right_rounds, left_rounds, right: right_out, left: left_out })
-}
-
-/// Verify a mixed schedule: every original communication exactly once, and
-/// every round internally consistent at the switch level (one-to-one
-/// configurations were already enforced during construction).
-pub fn verify_general(
-    topo: &CstTopology,
-    set: &CommSet,
-    out: &GeneralOutcome,
-) -> Result<(), CstError> {
-    let _ = topo;
-    let mut seen = vec![false; set.len()];
-    for round in &out.schedule.rounds {
-        for &CommId(i) in &round.comms {
-            if seen[i] {
-                return Err(CstError::ProtocolViolation {
-                    node: NodeId::ROOT,
-                    detail: format!("c{i} scheduled twice in mixed schedule"),
-                });
-            }
-            seen[i] = true;
-        }
-    }
-    if let Some(i) = seen.iter().position(|&s| !s) {
-        return Err(CstError::ProtocolViolation {
-            node: NodeId::ROOT,
-            detail: format!("c{i} never scheduled in mixed schedule"),
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn schedule_general(topo: &CstTopology, set: &CommSet) -> Result<GeneralOutcome, CstError> {
-        schedule_general_in(&mut CsaScratch::new(), &mut SchedulePool::new(), topo, set)
-    }
-
     #[test]
     fn mirror_node_reflects_levels() {
-        let topo = CstTopology::with_leaves(8);
-        assert_eq!(mirror_node(&topo, NodeId::ROOT), NodeId::ROOT);
-        assert_eq!(mirror_node(&topo, NodeId(2)), NodeId(3));
-        assert_eq!(mirror_node(&topo, NodeId(3)), NodeId(2));
-        assert_eq!(mirror_node(&topo, NodeId(4)), NodeId(7));
-        assert_eq!(mirror_node(&topo, NodeId(5)), NodeId(6));
+        assert_eq!(mirror_node(NodeId::ROOT), NodeId::ROOT);
+        assert_eq!(mirror_node(NodeId(2)), NodeId(3));
+        assert_eq!(mirror_node(NodeId(3)), NodeId(2));
+        assert_eq!(mirror_node(NodeId(4)), NodeId(7));
+        assert_eq!(mirror_node(NodeId(5)), NodeId(6));
         // involutive
         for i in 1..8 {
             let n = NodeId(i);
-            assert_eq!(mirror_node(&topo, mirror_node(&topo, n)), n);
+            assert_eq!(mirror_node(mirror_node(n)), n);
         }
     }
 
@@ -192,47 +83,5 @@ mod tests {
         assert!(m.has(Connection::R_TO_L));
         assert!(m.has(Connection::P_TO_R));
         assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn pure_right_set_passthrough() {
-        let topo = CstTopology::with_leaves(8);
-        let set = CommSet::from_pairs(8, &[(0, 3), (4, 7)]);
-        let out = schedule_general(&topo, &set).unwrap();
-        assert_eq!(out.rounds(), 1);
-        assert_eq!(out.left_rounds, 0);
-        verify_general(&topo, &set, &out).unwrap();
-    }
-
-    #[test]
-    fn pure_left_set_mirrors() {
-        let topo = CstTopology::with_leaves(8);
-        let set = CommSet::from_pairs(8, &[(3, 0), (7, 4)]);
-        let out = schedule_general(&topo, &set).unwrap();
-        assert_eq!(out.rounds(), 1);
-        assert_eq!(out.right_rounds, 0);
-        verify_general(&topo, &set, &out).unwrap();
-    }
-
-    #[test]
-    fn mixed_set_schedules_both_halves() {
-        let topo = CstTopology::with_leaves(16);
-        // right: (0,7),(1,6); left: (15,8),(14,9) — each half width 2
-        let set = CommSet::from_pairs(16, &[(0, 7), (1, 6), (15, 8), (14, 9)]);
-        let out = schedule_general(&topo, &set).unwrap();
-        assert_eq!(out.right_rounds, 2);
-        assert_eq!(out.left_rounds, 2);
-        assert_eq!(out.rounds(), 4);
-        verify_general(&topo, &set, &out).unwrap();
-        // every original id appears exactly once
-        let ids: Vec<_> = out.schedule.scheduled_ids().collect();
-        assert_eq!(ids.len(), 4);
-    }
-
-    #[test]
-    fn mixed_crossing_rejected() {
-        let topo = CstTopology::with_leaves(8);
-        let set = CommSet::from_pairs(8, &[(0, 4), (6, 2)]);
-        assert!(schedule_general(&topo, &set).is_err());
     }
 }

@@ -10,13 +10,18 @@
 //! 4. concatenate all rounds.
 //!
 //! Rounds = `Σ_layers w` per half; per-switch power = O(total layers).
+//! This is the one composition of oriented halves: the engine's
+//! `general` and `general-merged` routers run it after their
+//! well-nestedness check, where each half is one layer and so one CSA
+//! run.
+//!
 //! Cost: the two layerings, one CSA run per layer, and one copy of each
 //! round (made by [`layers::schedule_layered_in`]; this pass moves the
 //! rounds and remaps their ids in place, and mirrors the left half's
 //! configurations into new tables).
 
 use crate::layers;
-use crate::orientation::{self};
+use crate::orientation;
 use crate::scheduler::{CsaScratch, CsaTimings};
 use cst_comm::{CommSet, Schedule, SchedulePool};
 use cst_core::{CstError, CstTopology, PowerReport};
@@ -28,6 +33,9 @@ pub struct UniversalOutcome {
     pub schedule: Schedule,
     /// Layers in the right-oriented half.
     pub right_layers: usize,
+    /// Rounds of the right-oriented half: the schedule's first
+    /// `right_rounds` rounds; the left half's follow.
+    pub right_rounds: usize,
     /// Layers in the left-oriented half.
     pub left_layers: usize,
     /// Phase timings summed over every per-layer CSA run.
@@ -76,6 +84,7 @@ pub fn schedule_any_in(
     let mut timings = CsaTimings::default();
 
     let mut right_layers = 0;
+    let mut right_rounds = 0;
     let mut csa_power = None;
     if !right_half.set.is_empty() {
         let out = layers::schedule_layered_in(csa, pool, topo, &right_half.set)?;
@@ -83,6 +92,7 @@ pub fn schedule_any_in(
         timings += out.timings;
         csa_power = out.csa_power;
         schedule = out.schedule;
+        right_rounds = schedule.num_rounds();
         for round in &mut schedule.rounds {
             for id in &mut round.comms {
                 *id = right_half.original[id.0];
@@ -109,7 +119,7 @@ pub fn schedule_any_in(
         }
     }
 
-    Ok(UniversalOutcome { schedule, right_layers, left_layers, timings, csa_power })
+    Ok(UniversalOutcome { schedule, right_layers, right_rounds, left_layers, timings, csa_power })
 }
 
 #[cfg(test)]

@@ -444,26 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn replaying_a_merged_mixed_schedule_works() {
-        let topo = CstTopology::with_leaves(16);
-        let set = CommSet::from_pairs(16, &[(0, 7), (1, 6), (15, 8), (14, 9)]);
-        let merged = cst_padr::schedule_general_merged_in(
-            &mut cst_padr::CsaScratch::new(),
-            &mut cst_comm::SchedulePool::new(),
-            &topo,
-            &set,
-        )
-        .unwrap();
-        assert_eq!(merged.num_rounds(), 2, "halves interleave");
-        let sim = simulate_schedule(&topo, &set, &merged, None).unwrap();
-        assert_eq!(sim.deliveries.len(), 4);
-        for d in &sim.deliveries {
-            let comm = set.iter().find(|(_, c)| c.source == d.source).unwrap().1;
-            assert_eq!(d.dest, comm.dest);
-        }
-    }
-
-    #[test]
     fn empty_set_takes_only_phase1() {
         let topo = CstTopology::with_leaves(16);
         let sim = simulate(&topo, &CommSet::empty(16), None).unwrap();

@@ -85,7 +85,9 @@ pub fn run_serve(args: &[String]) {
 /// Machine-readable `bench-serve` report. Everything above the timing
 /// block is a pure function of the flags for `--clients 1` runs that
 /// start from `--reset`; scripts/ci.sh strips the timing fields
-/// (`*_ns*`, `speedup`, `*_per_sec`) and gates the rest.
+/// by name (`*_ns*`, `speedup`, `*_per_sec`, plus
+/// `available_parallelism`) and gates the rest, so a new timing field
+/// must follow that naming.
 #[derive(serde::Serialize)]
 struct BenchServeReport {
     router: String,
@@ -111,6 +113,9 @@ struct BenchServeReport {
     stats: ServeStats,
     uncached_ns_per_req: u64,
     cached_ns_per_req: u64,
+    /// Stats-frame round trip on the first connection: the transport
+    /// floor under every served request.
+    floor_ns_per_req: u64,
     speedup: f64,
     soak_p50_ns: u64,
     soak_p99_ns: u64,
@@ -353,6 +358,7 @@ pub fn run_bench_serve(args: &[String]) {
         stats,
         uncached_ns_per_req,
         cached_ns_per_req,
+        floor_ns_per_req,
         speedup: if cached_ns_per_req == 0 {
             0.0
         } else {

@@ -154,9 +154,11 @@ if [ ! -f "$serve_ready" ]; then
     echo "cst-serve daemon did not come up on $serve_sock" >&2
     exit 1
 fi
+# Timing fields are stripped by BenchServeReport's naming rule (`*_ns*`,
+# `*_per_sec`, `speedup`, plus the host's `available_parallelism`).
 serve_cmd() {
     target/debug/cst-tools bench-serve --unix "$serve_sock" --clients 1 --reset --json \
-        | grep -vE '"(uncached_ns_per_req|cached_ns_per_req|speedup|soak_p50_ns|soak_p99_ns|soak_requests_per_sec|contended_hit_p50_ns|contended_hit_p99_ns|available_parallelism|elapsed_ns)"'
+        | grep -vE '"([a-z0-9_]*_ns[a-z0-9_]*|[a-z0-9_]*_per_sec|speedup|available_parallelism)":'
 }
 serve_cmd > "$serve_a"
 serve_cmd > "$serve_b"

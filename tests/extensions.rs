@@ -1,6 +1,7 @@
 //! Integration tests for the extension layers: universal scheduling
-//! (layering + mirroring), round merging, SRGA routing and the
-//! computational algorithms — everything past the paper's core.
+//! (layering + mirroring), orientation composition and packing, SRGA
+//! routing and the computational algorithms — everything past the
+//! paper's core.
 
 use cst::comm::CommSet;
 use cst::core::CstTopology;
@@ -71,6 +72,69 @@ fn merging_is_sound_and_never_worse() {
         };
         assert_eq!(merged.rounds, right_rounds.max(left_rounds));
         ctx.recycle(sequential);
+        ctx.recycle(merged);
+    }
+}
+
+/// The `general` router on the orientation cases: a pure-left set runs
+/// through the mirror alone, a mixed set runs its halves back to back,
+/// and a crossing between the halves is rejected.
+#[test]
+fn general_router_composes_the_oriented_halves() {
+    let mut ctx = EngineCtx::new();
+    let topo = CstTopology::with_leaves(8);
+    let left = CommSet::from_pairs(8, &[(3, 0), (7, 4)]);
+    let out = ctx.route_named("general", &topo, &left).unwrap();
+    out.schedule.verify(&topo, &left).unwrap();
+    assert_eq!(out.rounds, 1);
+    assert!(matches!(out.extra, RouteExtra::General { right_rounds: 0, left_rounds: 1 }));
+    ctx.recycle(out);
+
+    let topo = CstTopology::with_leaves(16);
+    // right: (0,7),(1,6); left: (15,8),(14,9) — each half width 2
+    let mixed = CommSet::from_pairs(16, &[(0, 7), (1, 6), (15, 8), (14, 9)]);
+    let out = ctx.route_named("general", &topo, &mixed).unwrap();
+    out.schedule.verify(&topo, &mixed).unwrap();
+    assert_eq!(out.rounds, 4);
+    assert!(matches!(out.extra, RouteExtra::General { right_rounds: 2, left_rounds: 2 }));
+    // the right half's rounds come first
+    assert!(out.schedule.rounds[..2].iter().flat_map(|r| &r.comms).all(|c| c.0 < 2));
+    ctx.recycle(out);
+
+    let topo = CstTopology::with_leaves(8);
+    let crossing = CommSet::from_pairs(8, &[(0, 4), (6, 2)]);
+    assert!(ctx.route_named("general", &topo, &crossing).is_err());
+}
+
+/// `general-merged` packs the two halves into shared rounds: down to
+/// `max(w_right, w_left)` when they never collide, never more than
+/// `general`'s `w_right + w_left`.
+#[test]
+fn general_merged_interleaves_the_halves() {
+    let mut ctx = EngineCtx::new();
+    // (leaves, pairs, expected rounds or None for "at most general's")
+    let fully: Vec<(usize, usize)> =
+        (0..8).map(|i| (i, 15 - i)).chain((0..8).map(|i| (31 - i, 16 + i))).collect();
+    let cases = [
+        // right nest on the left half, mirrored left nest on the right
+        (16, vec![(0, 7), (1, 6), (2, 5), (15, 8), (14, 9), (13, 10)], Some(3)),
+        // width-8 nest and its mirror
+        (32, fully, Some(8)),
+        (8, vec![(0, 7), (1, 6)], Some(2)),
+        // both halves fight over the root's subtrees
+        (16, vec![(0, 15), (2, 13), (14, 1), (12, 3)], None),
+    ];
+    for (n, pairs, expected) in cases {
+        let topo = CstTopology::with_leaves(n);
+        let set = CommSet::from_pairs(n, &pairs);
+        let general = ctx.route_named("general", &topo, &set).unwrap();
+        let merged = ctx.route_named("general-merged", &topo, &set).unwrap();
+        merged.schedule.verify(&topo, &set).unwrap();
+        assert!(merged.rounds <= general.rounds, "{pairs:?}");
+        if let Some(rounds) = expected {
+            assert_eq!(merged.rounds, rounds, "{pairs:?}");
+        }
+        ctx.recycle(general);
         ctx.recycle(merged);
     }
 }

@@ -3,7 +3,9 @@
 
 use bytes::Bytes;
 use cst::core::CstTopology;
-use cst::sim::{simulate, EnergyModel, Trace};
+use cst::comm::CommSet;
+use cst::engine::EngineCtx;
+use cst::sim::{simulate, simulate_schedule, EnergyModel, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -90,4 +92,23 @@ fn simulator_rejects_bad_inputs() {
     assert!(simulate(&topo, &crossing, None).is_err());
     let left = cst::comm::CommSet::from_pairs(16, &[(9, 2)]);
     assert!(simulate(&topo, &left, None).is_err());
+}
+
+/// A `general-merged` schedule, whose rounds hold circuits of both
+/// orientations, replays on the simulator and delivers every message.
+#[test]
+fn replaying_a_merged_mixed_schedule_works() {
+    let topo = CstTopology::with_leaves(16);
+    let set = CommSet::from_pairs(16, &[(0, 7), (1, 6), (15, 8), (14, 9)]);
+    let mut ctx = EngineCtx::new();
+    let general = ctx.route_named("general", &topo, &set).unwrap();
+    let merged = ctx.route_named("general-merged", &topo, &set).unwrap();
+    assert_eq!(general.rounds, 4);
+    assert_eq!(merged.rounds, 2, "halves interleave");
+    let sim = simulate_schedule(&topo, &set, &merged.schedule, None).unwrap();
+    assert_eq!(sim.deliveries.len(), 4);
+    for d in &sim.deliveries {
+        let comm = set.iter().find(|(_, c)| c.source == d.source).unwrap().1;
+        assert_eq!(d.dest, comm.dest);
+    }
 }

@@ -9,7 +9,7 @@ use cst::comm::examples;
 use cst::core::CstTopology;
 use cst::engine::{route_once, EngineCtx};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn csa_outcomes_are_strictly_clean() {
@@ -100,4 +100,34 @@ fn merged_mixed_orientation_schedules_are_correct() {
     let merged = route_once("general-merged", &topo, &set).unwrap();
     let report = analyze(&topo, &set, &merged.schedule, &CheckOptions::lenient());
     assert!(!report.has_errors(), "{}", report.render_text());
+
+    // Seeded mixed sets: each communication of a well-nested set flipped
+    // with probability 0.4. The packed schedule is clean and never longer
+    // than `general`'s concatenation.
+    let mut ctx = EngineCtx::new();
+    let (mut shorter, mut cases) = (0, 0);
+    for n in [16usize, 64, 256] {
+        let topo = CstTopology::with_leaves(n);
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed + 700);
+            let base = cst::workloads::well_nested_with_density(&mut rng, n, 0.6);
+            let pairs: Vec<(usize, usize)> = base
+                .comms()
+                .iter()
+                .map(|c| (c.source.0, c.dest.0))
+                .map(|(s, d)| if rng.gen_bool(0.4) { (d, s) } else { (s, d) })
+                .collect();
+            let set = cst::comm::CommSet::from_pairs(n, &pairs);
+            let general = ctx.route_named("general", &topo, &set).unwrap();
+            let merged = ctx.route_named("general-merged", &topo, &set).unwrap();
+            let report = analyze(&topo, &set, &merged.schedule, &CheckOptions::lenient());
+            assert!(report.is_clean(), "n={n} seed={seed}:\n{}", report.render_text());
+            assert!(merged.rounds <= general.rounds, "n={n} seed={seed}");
+            shorter += usize::from(merged.rounds < general.rounds);
+            cases += 1;
+            ctx.recycle(general);
+            ctx.recycle(merged);
+        }
+    }
+    assert!(shorter > 0, "no sampled set let the halves share a round ({cases} sets)");
 }
