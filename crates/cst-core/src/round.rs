@@ -175,27 +175,55 @@ impl Serialize for RoundConfigs {
 /// `None`, `Left`, `Right`, `Parent`.
 const DRIVER_JSON: [&[u8]; 4] = [b"null", b"\"Left\"", b"\"Right\"", b"\"Parent\""];
 
+/// Longest entry suffix: `":{"driver":["Parent","Parent","Parent"]}`.
+const SUFFIX_MAX: usize = 41;
+
+/// What follows a table entry's key digits, `":{"driver":[a,b,c]}`, for
+/// every driver triple, indexed by `16·a + 4·b + c` over
+/// [`DRIVER_JSON`] slots; each suffix with its length.
+const ENTRY_SUFFIX: [([u8; SUFFIX_MAX], u8); 64] = entry_suffixes();
+
+const fn entry_suffixes() -> [([u8; SUFFIX_MAX], u8); 64] {
+    const fn append(out: &mut ([u8; SUFFIX_MAX], u8), bytes: &[u8]) {
+        let mut k = 0;
+        while k < bytes.len() {
+            out.0[out.1 as usize] = bytes[k];
+            out.1 += 1;
+            k += 1;
+        }
+    }
+    let mut table = [([0u8; SUFFIX_MAX], 0u8); 64];
+    let mut i = 0;
+    while i < 64 {
+        let entry = &mut table[i];
+        append(entry, b"\":{\"driver\":[");
+        append(entry, DRIVER_JSON[i / 16]);
+        append(entry, b",");
+        append(entry, DRIVER_JSON[i / 4 % 4]);
+        append(entry, b",");
+        append(entry, DRIVER_JSON[i % 4]);
+        append(entry, b"]}");
+        i += 1;
+    }
+    table
+}
+
 impl RoundConfigs {
     /// Append exactly the bytes `serde_json::to_string` produces for this
     /// table, without building a `serde::Value` tree: the map keyed by the
-    /// decimal heap index, each value `{"driver":[..3 slots..]}`.
+    /// decimal heap index, each value `{"driver":[..3 slots..]}`. An entry
+    /// is its separator and quote, its key digits and one constant
+    /// suffix picked by its three driver slots.
     pub fn write_json(&self, out: &mut Vec<u8>) {
         out.push(b'{');
         for (i, (node, cfg)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(b',');
-            }
-            out.push(b'"');
+            out.extend_from_slice(if i == 0 { b"\"" } else { b",\"" });
             write_json_uint(out, node.0 as u64);
-            out.extend_from_slice(b"\":{\"driver\":[");
-            for (k, side) in Side::ALL.into_iter().enumerate() {
-                if k > 0 {
-                    out.push(b',');
-                }
-                let slot = cfg.driver_of(side).map_or(0, |d| d.index() + 1);
-                out.extend_from_slice(DRIVER_JSON[slot]);
-            }
-            out.extend_from_slice(b"]}");
+            let slots = Side::ALL
+                .into_iter()
+                .fold(0, |acc, side| 4 * acc + cfg.driver_of(side).map_or(0, |d| d.index() + 1));
+            let (bytes, len) = &ENTRY_SUFFIX[slots];
+            out.extend_from_slice(&bytes[..usize::from(*len)]);
         }
         out.push(b'}');
     }
@@ -420,6 +448,32 @@ mod tests {
 
     fn topo() -> CstTopology {
         CstTopology::with_leaves(8)
+    }
+
+    #[test]
+    fn write_json_matches_serde_for_every_legal_config() {
+        let mut legal = 0;
+        for subset in 0u32..1 << Connection::ALL.len() {
+            let mut cfg = SwitchConfig::empty();
+            let ok = Connection::ALL
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| subset >> k & 1 == 1)
+                .all(|(_, &c)| cfg.set(c).is_ok());
+            if !ok {
+                continue;
+            }
+            legal += 1;
+            // First and later entries differ in their separator.
+            let table = RoundConfigs::from_entries(vec![(NodeId(1), cfg), (NodeId(4095), cfg)]);
+            let mut direct = Vec::new();
+            table.write_json(&mut direct);
+            let serde = serde_json::to_string(&table).unwrap();
+            assert_eq!(std::str::from_utf8(&direct).unwrap(), serde, "{cfg:?}");
+        }
+        // The partial injections of three sides with no fixed point:
+        // empty, 6 single connections, 9 pairs, 2 rotations.
+        assert_eq!(legal, 18);
     }
 
     #[test]

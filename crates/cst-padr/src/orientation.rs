@@ -17,7 +17,7 @@
 //! concatenation with the composite packer, which moves communications
 //! between rounds only where their directed links and PEs are free.
 
-use cst_core::{Connection, CstTopology, NodeId, RoundConfigs, Side, SwitchConfig};
+use cst_core::{Connection, NodeId, RoundConfigs, Side, SwitchConfig};
 
 /// Mirror a node of the tree: the reflection maps each switch to the
 /// switch covering the reflected leaf interval (same depth, reversed
@@ -31,8 +31,8 @@ fn mirror_node(node: NodeId) -> NodeId {
 /// Mirror a whole round's switch configurations onto the reflected tree.
 /// (Mirroring reverses within-level order, so the result is re-sorted by
 /// `from_entries`.) A switch's reflection depends on its heap index
-/// alone, so `_topo` is not read.
-pub fn mirror_round_configs(_topo: &CstTopology, configs: &RoundConfigs) -> RoundConfigs {
+/// alone, so no topology is needed.
+pub fn mirror_round_configs(configs: &RoundConfigs) -> RoundConfigs {
     RoundConfigs::from_entries(
         configs
             .iter()

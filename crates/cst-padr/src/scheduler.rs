@@ -13,6 +13,17 @@
 //! recover which communication was performed — information the algorithm
 //! itself never needs (the paper's point is that no communication IDs are
 //! required on the wire).
+//!
+//! The host steps a round one tree level at a time, from the root down,
+//! each level left to right. A switch needs only its parent's message,
+//! so any top-down order computes the same round; this one visits
+//! switches in increasing heap index, which is the order the round's
+//! switch table is stored in. A leaf takes its message as its parent
+//! sends it. With [`Options::prune_quiescent`] a child switch joins the
+//! next level only if it can act: it received a message other than
+//! `[null, null]`, or it has matched communications still pending in
+//! its subtree. Each round therefore costs O(active switches) rather
+//! than O(N).
 
 use crate::messages::{DownMsg, ReqKind, WORDS_DOWN, WORDS_UP};
 use crate::phase1::{self, Phase1};
@@ -112,12 +123,14 @@ struct Phase2Buffers {
     by_source: Vec<Option<(CommId, LeafId)>>,
     /// Unscheduled matched communications per subtree (pruning).
     matched_remaining: Vec<u32>,
-    /// Pending downward message per node.
+    /// Pending downward message per switch (leaves take theirs at once).
     msgs: Vec<DownMsg>,
     /// Dense per-round switch-setting scratch.
     arena: ConfigArena,
-    /// DFS stack for the top-down sweep.
-    stack: Vec<NodeId>,
+    /// The switches of the sweep's current tree level, in heap order.
+    frontier: Vec<NodeId>,
+    /// The switches of the level below that will act this round.
+    next: Vec<NodeId>,
     /// Source leaves activated this round.
     active_sources: Vec<LeafId>,
     /// `by_source`, `matched_remaining` and `msgs` are sized for the last
@@ -277,8 +290,16 @@ fn phase2_core(
         ..Default::default()
     };
 
-    let Phase2Buffers { by_source, matched_remaining, msgs, arena, stack, active_sources, clean } =
-        bufs;
+    let Phase2Buffers {
+        by_source,
+        matched_remaining,
+        msgs,
+        arena,
+        frontier,
+        next,
+        active_sources,
+        clean,
+    } = bufs;
     let footprint = p1
         .footprint()
         .filter(|_| *clean && matched_remaining.len() == n && by_source.len() == set.num_leaves());
@@ -329,6 +350,13 @@ fn phase2_core(
     let mut meter = pool.take_meter(topo);
     let mut schedule = pool.take_schedule();
     let mut scheduled_total = 0usize;
+    // A level holds at most `num_leaves / 2` switches. Sizing both levels
+    // at once, not by doubling, leaves no trail of outgrown blocks in the
+    // heap (it showed as a higher peak RSS in serve-miss runs).
+    for level in [&mut *frontier, &mut *next] {
+        level.clear();
+        level.reserve_exact(topo.num_leaves() / 2);
+    }
     // Dense per-round scratch: the sweep writes switch settings into
     // preallocated slots (O(1) each); take_round_into() extracts the
     // compact sorted table at end of round and resets in O(touched).
@@ -348,90 +376,75 @@ fn phase2_core(
         let mut round = pool.take_round();
         active_sources.clear();
 
-        // Top-down sweep with quiescent-subtree pruning. The root acts as
-        // if it received [null, null].
-        stack.clear();
-        stack.push(NodeId::ROOT);
-        while let Some(u) = stack.pop() {
-            let req = std::mem::replace(&mut msgs[u.index()], DownMsg::NULL);
-            if let Some(leaf) = topo.node_leaf(u) {
-                match req.kind {
-                    ReqKind::Null => {}
-                    ReqKind::S => {
-                        if req.x_s != 0 {
-                            return Err(CstError::ProtocolViolation {
-                                node: u,
-                                detail: format!("leaf received source rank {}", req.x_s),
-                            });
-                        }
-                        active_sources.push(leaf);
-                    }
-                    ReqKind::D => {
-                        if req.x_d != 0 {
-                            return Err(CstError::ProtocolViolation {
-                                node: u,
-                                detail: format!("leaf received dest rank {}", req.x_d),
-                            });
-                        }
-                    }
-                    ReqKind::SD => {
-                        return Err(CstError::ProtocolViolation {
-                            node: u,
-                            detail: "leaf received [s,d]".into(),
-                        });
-                    }
-                }
-                continue;
-            }
-            if options.prune_quiescent
-                && req.kind == ReqKind::Null
-                && matched_remaining[u.index()] == 0
-            {
-                // Nothing below can act this round.
-                continue;
-            }
-            metrics.switch_steps += 1;
-            let result = step(&mut p1.states[u.index()], req).map_err(|e: StepError| {
-                CstError::ProtocolViolation { node: u, detail: e.to_string() }
-            })?;
-            if result.scheduled_matched {
-                // Decrement the matched counters up the ancestor chain.
-                let mut a = u;
-                loop {
-                    matched_remaining[a.index()] -= 1;
-                    match a.parent() {
-                        Some(p) => a = p,
-                        None => break,
-                    }
-                }
-            }
-            for &c in &result.connections {
-                arena.set(u, c).map_err(|e| CstError::ProtocolViolation {
-                    node: u,
-                    detail: e.to_string(),
+        // Top-down sweep, one tree level of switches at a time, each
+        // level in heap order, so the arena's touched list comes out
+        // sorted. The root acts as if it received [null, null]. Leaves
+        // take their message as their parent sends it. With pruning, a
+        // switch joins the next level only if it can act: it received a
+        // message, or it has matched communications pending below.
+        let will_act = |u: NodeId, msg: DownMsg, matched_remaining: &[u32]| {
+            !options.prune_quiescent
+                || msg.kind != ReqKind::Null
+                || matched_remaining[u.index()] > 0
+        };
+        frontier.clear();
+        if will_act(NodeId::ROOT, DownMsg::NULL, matched_remaining) {
+            frontier.push(NodeId::ROOT);
+        }
+        while !frontier.is_empty() {
+            next.clear();
+            for &u in frontier.iter() {
+                let req = std::mem::replace(&mut msgs[u.index()], DownMsg::NULL);
+                metrics.switch_steps += 1;
+                let result = step(&mut p1.states[u.index()], req).map_err(|e: StepError| {
+                    CstError::ProtocolViolation { node: u, detail: e.to_string() }
                 })?;
-                meter.require(u, c);
-            }
-            if let Some(t) = trace.as_deref_mut() {
-                let mut config = SwitchConfig::empty();
-                for &c in &result.connections {
-                    config.force(c);
+                if result.scheduled_matched {
+                    // Decrement the matched counters up the ancestor chain.
+                    let mut a = u;
+                    loop {
+                        matched_remaining[a.index()] -= 1;
+                        match a.parent() {
+                            Some(p) => a = p,
+                            None => break,
+                        }
+                    }
                 }
-                t.record(SwitchEvent {
-                    node: u,
-                    req: req.into(),
-                    config,
-                    to_left: result.to_left.into(),
-                    to_right: result.to_right.into(),
-                });
+                for &c in &result.connections {
+                    arena.set(u, c).map_err(|e| CstError::ProtocolViolation {
+                        node: u,
+                        detail: e.to_string(),
+                    })?;
+                    meter.require(u, c);
+                }
+                if let Some(t) = trace.as_deref_mut() {
+                    let mut config = SwitchConfig::empty();
+                    for &c in &result.connections {
+                        config.force(c);
+                    }
+                    t.record(SwitchEvent {
+                        node: u,
+                        req: req.into(),
+                        config,
+                        to_left: result.to_left.into(),
+                        to_right: result.to_right.into(),
+                    });
+                }
+                metrics.phase2_words += 2 * u64::from(WORDS_DOWN);
+                metrics.max_words_per_switch_round =
+                    metrics.max_words_per_switch_round.max(2 * WORDS_DOWN);
+                let children =
+                    [(u.left_child(), result.to_left), (u.right_child(), result.to_right)];
+                for (c, msg) in children {
+                    if let Some(leaf) = topo.node_leaf(c) {
+                        leaf_receives(c, leaf, msg, active_sources)?;
+                    } else if will_act(c, msg, matched_remaining) {
+                        msgs[c.index()] = msg;
+                        next.push(c);
+                    }
+                }
             }
-            metrics.phase2_words += 2 * u64::from(WORDS_DOWN);
-            metrics.max_words_per_switch_round =
-                metrics.max_words_per_switch_round.max(2 * WORDS_DOWN);
-            msgs[u.left_child().index()] = result.to_left;
-            msgs[u.right_child().index()] = result.to_right;
-            stack.push(u.left_child());
-            stack.push(u.right_child());
+            std::mem::swap(frontier, next);
         }
 
         // Trace this round's circuits from the active sources and recover
@@ -470,6 +483,29 @@ fn phase2_core(
 
     let power = meter.report(topo);
     Ok(CsaOutcome { schedule, power, meter, metrics })
+}
+
+/// A leaf's half of a round: `[s, null]` with rank 0 activates it as a
+/// source, `[d, null]` with rank 0 as a destination; anything else is a
+/// protocol violation.
+fn leaf_receives(
+    u: NodeId,
+    leaf: LeafId,
+    req: DownMsg,
+    active_sources: &mut Vec<LeafId>,
+) -> Result<(), CstError> {
+    let detail = match req.kind {
+        ReqKind::Null => return Ok(()),
+        ReqKind::S if req.x_s == 0 => {
+            active_sources.push(leaf);
+            return Ok(());
+        }
+        ReqKind::D if req.x_d == 0 => return Ok(()),
+        ReqKind::S => format!("leaf received source rank {}", req.x_s),
+        ReqKind::D => format!("leaf received dest rank {}", req.x_d),
+        ReqKind::SD => "leaf received [s,d]".into(),
+    };
+    Err(CstError::ProtocolViolation { node: u, detail })
 }
 
 /// Follow the configured connections from an active source leaf to the leaf

@@ -111,7 +111,7 @@ pub fn schedule_any_in(
         // reflected schedule: leave the composite to be metered.
         csa_power = None;
         for mut round in out.schedule.rounds {
-            round.configs = orientation::mirror_round_configs(topo, &round.configs);
+            round.configs = orientation::mirror_round_configs(&round.configs);
             for id in &mut round.comms {
                 *id = left_half.original[id.0];
             }

@@ -54,6 +54,7 @@ use cst_comm::CommSet;
 use cst_core::wire::{WireCursor, WireError};
 use cst_core::{CstTopology, FaultMask};
 use cst_engine::{request_fingerprint, EngineCtx, Joined, ShardedScheduleCache, SingleFlight};
+use std::collections::HashMap;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -174,6 +175,45 @@ pub struct WorkerCore {
     topo: Option<CstTopology>,
     /// Payload assembly buffer (miss path).
     payload_buf: Vec<u8>,
+    /// In-frame duplicate finder for batch frames.
+    batch_index: BatchIndex,
+}
+
+/// Finds, for each item of a batch frame, the first earlier item with
+/// the same full key, in time linear in the batch. Keyed by request
+/// fingerprint; kept across frames so a warm worker reuses its tables.
+#[derive(Debug, Default)]
+struct BatchIndex {
+    /// Fingerprint -> the latest item that was the first of its key.
+    head: HashMap<u64, usize>,
+    /// `prior[i]`: the first-of-its-key item before item `i` with the
+    /// same fingerprint. Only fingerprint collisions chain further.
+    prior: Vec<Option<usize>>,
+}
+
+impl BatchIndex {
+    /// Forget the last frame's items.
+    fn clear(&mut self) {
+        self.head.clear();
+        self.prior.clear();
+    }
+
+    /// Admit the next item, fingerprint `fp`. Returns the earlier item
+    /// it duplicates (`same(j)`: item `j` has its full key), or `None`
+    /// after recording it as the first of its key.
+    fn earlier(&mut self, fp: u64, same: impl Fn(usize) -> bool) -> Option<usize> {
+        let mut at = self.head.get(&fp).copied();
+        while let Some(j) = at {
+            if same(j) {
+                self.prior.push(None);
+                return Some(j);
+            }
+            at = self.prior[j];
+        }
+        let i = self.prior.len();
+        self.prior.push(self.head.insert(fp, i));
+        None
+    }
 }
 
 impl WorkerCore {
@@ -187,6 +227,7 @@ impl WorkerCore {
             pairs: Vec::new(),
             topo: None,
             payload_buf: Vec::new(),
+            batch_index: BatchIndex::default(),
         }
     }
 
@@ -328,13 +369,12 @@ impl WorkerCore {
         }
         cur.expect_end().map_err(bad_frame)?;
 
-        let mut fps: Vec<u64> = Vec::with_capacity(sets.len());
         let mut items: Vec<ServedItem> = Vec::with_capacity(sets.len());
+        self.batch_index.clear();
         for i in 0..sets.len() {
             let fp = request_fingerprint(router, &sets[i], masks[i].as_ref());
-            fps.push(fp);
             if let Some(j) =
-                (0..i).find(|&j| fps[j] == fp && sets[j] == sets[i] && masks[j] == masks[i])
+                self.batch_index.earlier(fp, |j| sets[j] == sets[i] && masks[j] == masks[i])
             {
                 ServeCounters::bump(&self.shared.counters.requests);
                 ServeCounters::bump(&self.shared.counters.coalesced);
@@ -830,5 +870,26 @@ fn read_frame_interruptible(
         Fill::Done => Ok(FrameRead::Frame),
         Fill::Shutdown => Ok(FrameRead::Shutdown),
         Fill::Eof => Err(io::ErrorKind::UnexpectedEof.into()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::BatchIndex;
+
+    #[test]
+    fn batch_index_matches_the_pairwise_scan_under_collisions() {
+        // Keys 0..12 over 3 fingerprints: distinct keys collide, and each
+        // key recurs far from its first occurrence.
+        let keys: Vec<u64> = (0..600).map(|i| (i * 7 + i / 50) % 12).collect();
+        let fp = |k: u64| k % 3;
+        let mut index = BatchIndex::default();
+        for round in 0..2 {
+            index.clear();
+            for (i, &k) in keys.iter().enumerate() {
+                let scan = (0..i).find(|&j| fp(keys[j]) == fp(k) && keys[j] == k);
+                assert_eq!(index.earlier(fp(k), |j| keys[j] == k), scan, "round {round} item {i}");
+            }
+        }
     }
 }

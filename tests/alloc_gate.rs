@@ -354,6 +354,38 @@ fn warm_general_route_that_packs_allocates_zero_bytes() {
 }
 
 #[test]
+fn warm_outcome_payload_encode_allocates_zero_bytes() {
+    // A served miss writes its payload (summary, degradation block,
+    // schedule JSON from `Schedule::write_json` and its constant entry
+    // table) straight into the worker's reused buffer. Once that buffer
+    // has held a payload this size, encoding another allocates nothing,
+    // plain or with a degradation block.
+    use cst::serve::wire::encode_outcome_payload;
+
+    let n = 1024;
+    let topo = CstTopology::with_leaves(n);
+    let mut rng = StdRng::seed_from_u64(0xE2C0DE);
+    let set = cst::workloads::well_nested_with_density(&mut rng, n, 0.7);
+    let mask = cst::faults::sample_mask(&mut rng, &topo, 0.02);
+    let mut ctx = EngineCtx::new();
+    let plain = ctx.route(&Csa, &topo, &set).unwrap();
+    let masked = ctx.route_masked(&Csa, &topo, &set, &mask).unwrap();
+    assert!(masked.degradation.is_some(), "the masked outcome must carry a degradation block");
+    let mut buf = Vec::new();
+    for outcome in [&plain, &masked] {
+        encode_outcome_payload(&mut buf, outcome);
+        let cold = buf.clone();
+        let (warm, ()) = alloc_counter::measure(|| encode_outcome_payload(&mut buf, outcome));
+        assert_eq!(
+            (warm.allocations, warm.bytes_allocated),
+            (0, 0),
+            "a warm payload encode must not touch the heap: {warm:?}"
+        );
+        assert_eq!(buf, cold, "warm encode writes the cold bytes");
+    }
+}
+
+#[test]
 fn warm_serve_worker_cached_request_allocates_zero_bytes() {
     // The daemon's streaming guarantee (docs/SERVE.md): a worker serving
     // a repeated cached unmasked Route frame is pure scratch reuse —

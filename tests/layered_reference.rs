@@ -338,7 +338,7 @@ fn reference_universal(topo: &CstTopology, set: &CommSet) -> Schedule {
                     .iter()
                     .map(|&CommId(i)| left.original[i])
                     .collect(),
-                configs: mirror_round_configs(topo, &round.configs),
+                configs: mirror_round_configs(&round.configs),
             });
         }
     }

@@ -334,6 +334,72 @@ fn masked_batch_items_route_and_coalesce_per_full_key() {
 }
 
 #[test]
+fn large_batches_coalesce_far_apart_duplicates_and_only_those() {
+    // 3,000 items over 40 sets, each plain or masked: 80 full keys.
+    // Duplicates recur up to the whole batch apart, and one set masked
+    // and unmasked is two keys. Every item must coalesce exactly as the
+    // pairwise first-occurrence scan says, over two frames on one worker.
+    use cst::serve::wire::{decode_response, encode_batch_masked_request, Response};
+    use cst::serve::{ServeShared, WorkerCore};
+    use rand::Rng;
+    use std::sync::Arc;
+
+    const ITEMS: usize = 3000;
+    let topo = CstTopology::with_leaves(PES);
+    let mask = stress_mask(&topo);
+    let mut rng = StdRng::seed_from_u64(0xBA7C4);
+    let mut pool: Vec<CommSet> = Vec::new();
+    while pool.len() < 40 {
+        let set = cst::workloads::well_nested_with_density(&mut rng, PES, 0.4);
+        if !pool.contains(&set) {
+            pool.push(set);
+        }
+    }
+    let mut keys: Vec<(usize, bool)> =
+        (0..ITEMS).map(|_| (rng.gen_range(0..pool.len()), rng.gen_bool(0.5))).collect();
+    keys[ITEMS - 1] = keys[0];
+    let first: Vec<usize> =
+        (0..ITEMS).map(|i| (0..i).find(|&j| keys[j] == keys[i]).unwrap_or(i)).collect();
+    let distinct = first.iter().enumerate().filter(|&(i, &f)| i == f).count();
+    let items: Vec<(CommSet, Option<FaultMask>)> = keys
+        .iter()
+        .map(|&(k, masked)| (pool[k].clone(), masked.then(|| mask.clone())))
+        .collect();
+
+    let shared = Arc::new(ServeShared::new(ServeConfig::default()));
+    let mut core = WorkerCore::new(Arc::clone(&shared));
+    let (mut body, mut out) = (Vec::new(), Vec::new());
+    encode_batch_masked_request(&mut body, "csa", &items);
+    for frame in 0..2 {
+        core.handle_frame(&body, &mut out);
+        let Ok(Response::Batch(replies)) = decode_response(&out) else {
+            panic!("frame {frame}: expected a batch response");
+        };
+        let replies: Vec<_> = replies.into_iter().map(|r| r.expect("batch item")).collect();
+        assert_eq!(replies.len(), ITEMS);
+        for (i, reply) in replies.iter().enumerate() {
+            if first[i] == i {
+                // The first frame routes every key; the second hits.
+                assert_eq!(reply.cached, frame == 1, "frame {frame} item {i}");
+            } else {
+                assert!(reply.cached, "frame {frame} item {i} duplicates item {}", first[i]);
+                assert_eq!(reply.payload, replies[first[i]].payload, "item {i}");
+            }
+        }
+        for &i in &[0, 1, ITEMS - 1] {
+            let (set, mask) = &items[i];
+            verify_payload(&topo, "csa", set, mask.as_ref(), &replies[i].payload);
+        }
+        let s = shared.stats();
+        assert_eq!(s.requests as usize, (frame + 1) * ITEMS);
+        assert_eq!(s.coalesced as usize, (frame + 1) * (ITEMS - distinct));
+        assert_eq!(s.computations as usize, distinct, "one route per full key");
+        assert_eq!(s.errors, 0);
+    }
+    assert_eq!(distinct, 80, "every key occurs");
+}
+
+#[test]
 fn unknown_router_is_a_typed_error_not_a_dead_connection() {
     let sets = working_sets();
     let server = Server::bind_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind");
