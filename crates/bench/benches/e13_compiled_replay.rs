@@ -17,8 +17,9 @@
 //!   compile-once-replay-many figure: 32 executions of one schedule per
 //!   iteration, compiling (once) inside the compiled variant's loop.
 //!
-//! `scripts/bench_smoke.sh` gates compiled ≤ interpreter per size from
-//! the checked-in `BENCH_e13.json`.
+//! `cst-tools bench-gate` (run by `scripts/bench_smoke.sh`) gates the id
+//! set and compiled ≤ interpreter per size, in both the checked-in
+//! `BENCH_e13.json` and the fresh smoke run.
 
 use bench::workload;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -25,8 +25,10 @@
 //! Each size also prints `decompose`'s stage split (certificate /
 //! conflict graph / first-fit / build) to stderr.
 //!
-//! `scripts/bench_smoke.sh` gates the id set, warm-cached ≤
-//! route-layers, and — from the checked-in `BENCH_e14.json` —
+//! `cst-tools bench-gate` (run by `scripts/bench_smoke.sh`) gates the id
+//! set and warm-cached ≤ route-layers in both the checked-in
+//! `BENCH_e14.json` and the fresh smoke run, and — from the checked-in
+//! file only —
 //! decompose/4096 ≤ route-layers/4096, certificate/1024 ≤
 //! decompose/1024 ÷ 3 and pack/1024 ≤ route-layers/1024 ÷ 10.
 

@@ -18,13 +18,14 @@
 //! cst-tools model conform [pattern]   replay emitter traces through the reference model
 //! cst-tools serve                     run the routing daemon (TCP or Unix socket)
 //! cst-tools bench-serve               seeded closed-loop load generator for the daemon
+//! cst-tools bench-gate <fresh-dir>    check a bench smoke run and the checked-in BENCH files
 //! cst-tools list-routers              print the engine registry
 //! ```
 //!
 //! `schedule`, `viz` and `bundle` accept `--router <name>` to dispatch
 //! through any engine-registry router (default `csa`); `list-routers`
 //! prints the registry (`--canonical` restricts to the ten canonical
-//! routers, `--names` prints bare names for scripting).
+//! routers).
 //!
 //! `check` reads a [`cst_check::ScheduleBundle`] (as emitted by `bundle`),
 //! runs the static analyzer and prints the findings; `--json` switches to
@@ -99,6 +100,7 @@
 use cst_analysis::experiments as exp;
 use cst_analysis::Table;
 
+mod bench_gate;
 mod report;
 mod serve_cmd;
 mod viz;
@@ -169,17 +171,12 @@ fn main() {
             bundle_pattern(&pattern, &router_arg(&args));
         }
         Some("list-routers") => {
-            let names_only = args.iter().any(|a| a == "--names");
             let canonical = args.iter().any(|a| a == "--canonical");
             for router in cst_engine::registry() {
                 if canonical && !cst_engine::CANONICAL.contains(&router.name()) {
                     continue;
                 }
-                if names_only {
-                    println!("{}", router.name());
-                } else {
-                    println!("{:<18} {}", router.name(), router.description());
-                }
+                println!("{:<18} {}", router.name(), router.description());
             }
         }
         Some("check") => {
@@ -242,9 +239,12 @@ fn main() {
         Some("bench-serve") => {
             serve_cmd::run_bench_serve(&args);
         }
+        Some("bench-gate") => {
+            bench_gate::run_bench_gate(&args);
+        }
         _ => {
             eprintln!(
-                "usage: cst-tools <experiments|report|csv|trace|schedule|sim|viz|bundle|check|inject|campaign|stream|decomp|model|serve|bench-serve|list-routers> [args] [--quick]"
+                "usage: cst-tools <experiments|report|csv|trace|schedule|sim|viz|bundle|check|inject|campaign|stream|decomp|model|serve|bench-serve|bench-gate|list-routers> [args] [--quick]"
             );
             std::process::exit(2);
         }
