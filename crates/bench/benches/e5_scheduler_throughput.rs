@@ -5,10 +5,11 @@
 //! benchmark ids are the registry router names). `e5_masked/csa/<n>`
 //! times the masked CSA route (partition, CSA, half-duplex split) under
 //! one fixed mask per size, sampled at the serve-miss fault rate.
+//! Each CSA id's Phase-2 sweep cost per switch step goes to stderr.
 
 use bench::{emit, workload};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use cst_engine::{Csa, EngineCtx};
+use cst_engine::{Csa, EngineCtx, RouteExtra};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,6 +51,30 @@ fn bench_e5(c: &mut Criterion) {
         }
     }
     group.finish();
+
+    // Phase-2 cost per switch step: the sweep's rounds time (median of
+    // 51 routes) over its switch steps.
+    for n in [256usize, 1024, 4096] {
+        let (topo, set) = workload(n, 0.5, 0xE5);
+        for name in ["csa", "csa-no-prune"] {
+            let (mut rounds_ns, mut steps) = (Vec::new(), 0);
+            for _ in 0..51 {
+                let out = ctx.route_named(name, &topo, &set).unwrap();
+                rounds_ns.push(out.timings.rounds_ns);
+                if let RouteExtra::Csa { metrics, .. } = &out.extra {
+                    steps = metrics.switch_steps;
+                }
+                ctx.recycle(out);
+            }
+            rounds_ns.sort_unstable();
+            let median = rounds_ns[rounds_ns.len() / 2];
+            eprintln!(
+                "e5 {name}/{n}: {steps} switch steps, Phase 2 {median} ns (median of 51), \
+                 {:.1} ns per step",
+                median as f64 / steps.max(1) as f64
+            );
+        }
+    }
 
     let mut group = c.benchmark_group("e5_masked");
     for n in [256usize, 1024, 4096] {

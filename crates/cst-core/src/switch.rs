@@ -120,6 +120,7 @@ pub struct SwitchConfig {
 
 impl SwitchConfig {
     /// The empty (fully disconnected) configuration.
+    #[inline]
     pub fn empty() -> Self {
         Self::default()
     }
@@ -164,11 +165,13 @@ impl SwitchConfig {
     }
 
     /// Number of connections currently set (0..=3).
+    #[inline]
     pub fn len(&self) -> usize {
         self.driver.iter().filter(|d| d.is_some()).count()
     }
 
     /// True if fully disconnected.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.driver.iter().all(|d| d.is_none())
     }
@@ -183,6 +186,7 @@ impl SwitchConfig {
     /// Set a connection, *failing* if either port is already in use by a
     /// different connection (strict form used by round assembly, where a
     /// conflict indicates a scheduler bug rather than a reconfiguration).
+    #[inline]
     pub fn set(&mut self, c: Connection) -> Result<(), CstError> {
         if !c.is_legal() {
             return Err(CstError::SameSideConnection { side: c.from });

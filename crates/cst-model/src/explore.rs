@@ -313,7 +313,7 @@ fn check_set(
             // Safety: the implementation's connections must assemble into
             // a legal configuration (one-to-one, side restriction).
             let mut impl_config = SwitchConfig::empty();
-            for &c in &result.connections {
+            for c in result.connections {
                 if let Err(e) = impl_config.set(c) {
                     report.divergences.push(diverge(
                         round,
@@ -355,14 +355,15 @@ fn check_set(
                 ));
                 return;
             }
-            if result.scheduled_matched != model_step.scheduled.is_some() {
+            if result.scheduled_matched() != model_step.scheduled.is_some() {
                 report.divergences.push(diverge(
                     round,
                     u,
                     "match-flag",
                     format!(
                         "model scheduled {:?} vs implementation scheduled_matched={}",
-                        model_step.scheduled, result.scheduled_matched
+                        model_step.scheduled,
+                        result.scheduled_matched()
                     ),
                     &trail,
                 ));

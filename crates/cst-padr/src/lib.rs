@@ -62,6 +62,6 @@ pub use universal::{schedule_any_in, UniversalOutcome};
 pub use phase1::{Phase1, SwitchState};
 pub use scheduler::{trace_circuit, ControlMetrics, CsaOutcome, CsaScratch, CsaTimings, Options};
 pub use session::{BatchReport, PadrSession};
-pub use switch_logic::{step, StepError, StepResult};
+pub use switch_logic::{step, Connections, StepError, StepResult};
 pub use verifier::{verify_outcome, verify_phase1, VerifyReport, CSA_PORT_TRANSITION_BOUND};
 

@@ -38,16 +38,19 @@ pub struct SwitchState {
 
 impl SwitchState {
     /// Remaining pass-up sources visible to the parent.
+    #[inline]
     pub fn up_sources(&self) -> u32 {
         self.left_sources + self.right_sources
     }
 
     /// Remaining pass-down destinations visible to the parent.
+    #[inline]
     pub fn down_dests(&self) -> u32 {
         self.left_dests + self.right_dests
     }
 
     /// Total outstanding routing obligations at this switch.
+    #[inline]
     pub fn pending(&self) -> u32 {
         self.matched + self.left_sources + self.right_sources + self.left_dests + self.right_dests
     }

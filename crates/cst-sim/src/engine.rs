@@ -226,7 +226,7 @@ fn simulate_inner(
             match ev {
                 Ev::Down { to, msg } => {
                     if let Some(leaf) = topo.node_leaf(to) {
-                        match msg.kind {
+                        match msg.kind() {
                             ReqKind::Null => {}
                             ReqKind::S => active_sources.push(leaf),
                             ReqKind::D => active_dests.push(leaf),
@@ -244,7 +244,7 @@ fn simulate_inner(
                             node: to,
                             detail: e.to_string(),
                         })?;
-                    for &c in &result.connections {
+                    for c in result.connections {
                         arena.set(to, c).map_err(|e| CstError::ProtocolViolation {
                             node: to,
                             detail: e.to_string(),
@@ -252,14 +252,10 @@ fn simulate_inner(
                         meter.require(to, c);
                     }
                     if let Some(tr) = trace.as_deref_mut() {
-                        let mut config = cst_core::SwitchConfig::empty();
-                        for &c in &result.connections {
-                            config.force(c);
-                        }
                         tr.record(cst_core::SwitchEvent {
                             node: to,
                             req: msg.into(),
-                            config,
+                            config: result.connections.config(),
                             to_left: result.to_left.into(),
                             to_right: result.to_right.into(),
                         });

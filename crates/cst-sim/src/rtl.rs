@@ -194,7 +194,7 @@ impl<'t> RtlMachine<'t> {
                         node: u,
                         detail: e.to_string(),
                     })?;
-                for &c in &result.connections {
+                for c in result.connections {
                     self.arena.set(u, c).map_err(|e| CstError::ProtocolViolation {
                         node: u,
                         detail: e.to_string(),
@@ -202,14 +202,10 @@ impl<'t> RtlMachine<'t> {
                     self.meter.require(u, c);
                 }
                 if let Some(t) = trace.as_deref_mut() {
-                    let mut config = cst_core::SwitchConfig::empty();
-                    for &c in &result.connections {
-                        config.force(c);
-                    }
                     t.record(cst_core::SwitchEvent {
                         node: u,
                         req: req.into(),
-                        config,
+                        config: result.connections.config(),
                         to_left: result.to_left.into(),
                         to_right: result.to_right.into(),
                     });
@@ -219,7 +215,7 @@ impl<'t> RtlMachine<'t> {
             }
             for (node, msg) in deliveries {
                 if let Some(leaf) = self.topo.node_leaf(node) {
-                    match msg.kind {
+                    match msg.kind() {
                         ReqKind::Null => {}
                         ReqKind::S => sources.push(leaf),
                         ReqKind::D => {}

@@ -94,7 +94,7 @@ fn figure_5() {
     println!("state before: {st:?}");
     let r = switch_logic::step(&mut st, DownMsg::NULL).unwrap();
     println!("[null,null] received:");
-    for c in &r.connections {
+    for c in r.connections {
         println!("  connect {c}");
     }
     println!("  to left child : {}", r.to_left);
