@@ -782,8 +782,8 @@ fn run_decomp_sweep(args: &[String]) {
         eprintln!("unknown router {router} (see cst-tools list-routers)");
         std::process::exit(2);
     };
-    if pes < 4 || !pes.is_multiple_of(2) {
-        eprintln!("--pes wants an even leaf count >= 4, got {pes}");
+    if !pes.is_power_of_two() || pes < 4 {
+        eprintln!("--pes wants a power of two >= 4, got {pes}");
         std::process::exit(2);
     }
 
@@ -928,8 +928,16 @@ fn run_stream(args: &[String]) {
     let seed: u64 = typed_flag(args, "--seed", 0);
     let cache_cap: usize = typed_flag(args, "--cache-cap", cst_engine::DEFAULT_CACHE_CAPACITY);
     let router = router_arg(args);
-    if working == 0 || !(0.0..=1.0).contains(&repeat) || !(0.0..=1.0).contains(&density) {
-        eprintln!("--working wants >= 1; --repeat and --density want probabilities in [0, 1]");
+    if !pes.is_power_of_two()
+        || pes < 2
+        || working == 0
+        || !(0.0..=1.0).contains(&repeat)
+        || !(0.0..=1.0).contains(&density)
+    {
+        eprintln!(
+            "--pes wants a power of two >= 2; --working wants >= 1; \
+             --repeat and --density want probabilities in [0, 1]"
+        );
         std::process::exit(2);
     }
 
