@@ -1,63 +1,9 @@
-//! Shared machinery for centralized baseline schedulers: turning a round
-//! partition (lists of communication ids) into a [`Schedule`] with merged
-//! switch configurations, so every scheduler is metered by the exact same
-//! power model as the CSA.
+//! Scan orders shared by the centralized baseline schedulers. Each
+//! baseline chooses a round partition and hands it to
+//! [`cst_comm::Schedule::from_partition`], so every scheduler's tables are
+//! written, and metered, exactly as the CSA's are.
 
-use cst_comm::{CommId, CommSet, Round, Schedule};
-use cst_core::{Circuit, CstError, CstTopology, MergedRound};
-
-/// Build circuits for a list of communications (either orientation).
-pub fn circuits_for(
-    topo: &CstTopology,
-    set: &CommSet,
-    ids: &[CommId],
-) -> Result<Vec<Circuit>, CstError> {
-    ids.iter()
-        .map(|&id| {
-            let c = set.get(id).ok_or_else(|| CstError::ProtocolViolation {
-                node: cst_core::NodeId::ROOT,
-                detail: format!("unknown comm id {id}"),
-            })?;
-            Ok(Circuit::between(topo, c.source, c.dest))
-        })
-        .collect()
-}
-
-/// Assemble a [`Schedule`] from a partition of the set into rounds,
-/// failing if any round is not a compatible set. One scratch
-/// [`MergedRound`] is reused across rounds (reset is O(touched)).
-pub fn schedule_from_partition(
-    topo: &CstTopology,
-    set: &CommSet,
-    partition: &[Vec<CommId>],
-) -> Result<Schedule, CstError> {
-    let mut merged = MergedRound::new(topo);
-    schedule_from_partition_in(topo, set, partition, &mut merged)
-}
-
-/// [`schedule_from_partition`], reusing a caller-owned [`MergedRound`]
-/// scratch (re-targeted to `topo` on entry).
-pub fn schedule_from_partition_in(
-    topo: &CstTopology,
-    set: &CommSet,
-    partition: &[Vec<CommId>],
-    merged: &mut MergedRound,
-) -> Result<Schedule, CstError> {
-    merged.reset_for(topo);
-    let mut schedule = Schedule::default();
-    for ids in partition {
-        if ids.is_empty() {
-            continue;
-        }
-        for circuit in circuits_for(topo, set, ids)? {
-            merged.add(&circuit)?;
-        }
-        let mut comms = ids.to_vec();
-        comms.sort_unstable();
-        schedule.rounds.push(Round { comms, configs: merged.take_configs() });
-    }
-    Ok(schedule)
-}
+use cst_comm::{CommId, CommSet};
 
 /// Sort communication ids outermost-first: by left endpoint ascending,
 /// right endpoint descending. For well-nested sets this is a valid
@@ -92,32 +38,5 @@ mod tests {
         assert_eq!(outer, vec![CommId(1), CommId(2), CommId(0), CommId(3)]);
         let inner = innermost_first_order(&set);
         assert_eq!(inner, vec![CommId(3), CommId(0), CommId(2), CommId(1)]);
-    }
-
-    #[test]
-    fn partition_round_conflict_detected() {
-        let topo = CstTopology::with_leaves(8);
-        let set = CommSet::from_pairs(8, &[(0, 7), (1, 6)]);
-        let err = schedule_from_partition(&topo, &set, &[vec![CommId(0), CommId(1)]]);
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn valid_partition_builds() {
-        let topo = CstTopology::with_leaves(8);
-        let set = CommSet::from_pairs(8, &[(0, 7), (1, 6)]);
-        let s = schedule_from_partition(&topo, &set, &[vec![CommId(0)], vec![CommId(1)]])
-            .unwrap();
-        assert_eq!(s.num_rounds(), 2);
-        s.verify(&topo, &set).unwrap();
-    }
-
-    #[test]
-    fn empty_rounds_skipped() {
-        let topo = CstTopology::with_leaves(8);
-        let set = CommSet::from_pairs(8, &[(0, 1)]);
-        let s = schedule_from_partition(&topo, &set, &[vec![], vec![CommId(0)], vec![]])
-            .unwrap();
-        assert_eq!(s.num_rounds(), 1);
     }
 }

@@ -10,7 +10,7 @@
 //!   (outermost-first, innermost-first, input-order), used by the E8
 //!   selection-rule ablation;
 //! * [`sequential`] — one communication per round (floor baseline);
-//! * [`common`] — partition-to-schedule assembly shared by all of them.
+//! * [`common`] — the scan orders they share.
 //!
 //! All baselines emit the same [`cst_comm::Schedule`] type as the CSA and
 //! are metered by the same [`cst_core::PowerMeter`], reporting both hold
@@ -21,6 +21,6 @@ pub mod greedy;
 pub mod roy;
 pub mod sequential;
 
-pub use common::{innermost_first_order, outermost_first_order, schedule_from_partition};
+pub use common::{innermost_first_order, outermost_first_order};
 pub use greedy::{GreedyOutcome, ScanOrder};
 pub use roy::{assign_levels, LevelOrder, RoyOutcome};

@@ -45,9 +45,9 @@
 //! protocol property (who may hold), which is why E2/E3 report both
 //! metrics for both schedulers.
 
-use crate::common::{outermost_first_order, schedule_from_partition_in};
+use crate::common::outermost_first_order;
 use cst_comm::{CommId, CommSet, Schedule};
-use cst_core::{Circuit, CstError, CstTopology, DirectedLink, MergedRound};
+use cst_core::{Circuit, CstError, CstTopology, DirectedLink};
 use std::collections::HashMap;
 
 /// Order in which the ID levels are scheduled.
@@ -98,15 +98,8 @@ pub fn assign_levels(topo: &CstTopology, set: &CommSet) -> Vec<u32> {
     levels
 }
 
-/// Schedule `set` Roy-style — one ID level per round — reusing a
-/// caller-owned [`MergedRound`] scratch for the round assembly
-/// (re-targeted to `topo` on entry).
-pub fn run(
-    topo: &CstTopology,
-    set: &CommSet,
-    order: LevelOrder,
-    merged: &mut MergedRound,
-) -> Result<RoyOutcome, CstError> {
+/// Schedule `set` Roy-style: one ID level per round, members in id order.
+pub fn run(topo: &CstTopology, set: &CommSet, order: LevelOrder) -> Result<RoyOutcome, CstError> {
     set.require_right_oriented()?;
     set.require_well_nested()?;
     let levels = assign_levels(topo, set);
@@ -119,7 +112,8 @@ pub fn run(
         LevelOrder::InnermostFirst => partition.reverse(),
         LevelOrder::OutermostFirst => {}
     }
-    let schedule = schedule_from_partition_in(topo, set, &partition, merged)?;
+    let endpoints = |id| set.get(id).map(|c| (c.source, c.dest));
+    let schedule = Schedule::from_partition(topo, endpoints, &partition)?;
     Ok(RoyOutcome { schedule, levels, max_level })
 }
 
@@ -127,14 +121,6 @@ pub fn run(
 mod tests {
     use super::*;
     use cst_comm::examples;
-
-    fn schedule(
-        topo: &CstTopology,
-        set: &CommSet,
-        order: LevelOrder,
-    ) -> Result<RoyOutcome, CstError> {
-        run(topo, set, order, &mut MergedRound::new(topo))
-    }
 
     #[test]
     fn levels_on_plain_nest_match_depth() {
@@ -148,7 +134,7 @@ mod tests {
     fn same_level_is_compatible_and_verifies() {
         let topo = CstTopology::with_leaves(16);
         let set = examples::paper_figure_2();
-        let out = schedule(&topo, &set, LevelOrder::InnermostFirst).unwrap();
+        let out = run(&topo, &set, LevelOrder::InnermostFirst).unwrap();
         out.schedule.verify(&topo, &set).unwrap();
     }
 
@@ -156,7 +142,7 @@ mod tests {
     fn disjoint_comms_share_level_one() {
         let topo = CstTopology::with_leaves(16);
         let set = examples::sibling_pairs(16);
-        let out = schedule(&topo, &set, LevelOrder::InnermostFirst).unwrap();
+        let out = run(&topo, &set, LevelOrder::InnermostFirst).unwrap();
         assert_eq!(out.max_level, 1);
         assert_eq!(out.schedule.num_rounds(), 1);
     }
@@ -167,7 +153,7 @@ mod tests {
         // chain length; CSA (cst-padr) pays only the width.
         let topo = CstTopology::with_leaves(16);
         let set = CommSet::from_pairs(16, &[(3, 9), (4, 8), (5, 6)]);
-        let out = schedule(&topo, &set, LevelOrder::InnermostFirst).unwrap();
+        let out = run(&topo, &set, LevelOrder::InnermostFirst).unwrap();
         assert_eq!(out.max_level, 3);
         assert_eq!(cst_comm::width_on_topology(&topo, &set), 2);
         out.schedule.verify(&topo, &set).unwrap();
@@ -178,7 +164,7 @@ mod tests {
         let topo = CstTopology::with_leaves(32);
         let set = examples::full_nest(32);
         for order in [LevelOrder::InnermostFirst, LevelOrder::OutermostFirst] {
-            let out = schedule(&topo, &set, order).unwrap();
+            let out = run(&topo, &set, order).unwrap();
             assert_eq!(out.schedule.num_rounds(), 16);
             out.schedule.verify(&topo, &set).unwrap();
         }
@@ -194,7 +180,7 @@ mod tests {
             let topo = CstTopology::with_leaves(n);
             let set = examples::full_nest(n);
             let w = (n / 2) as u32;
-            let out = schedule(&topo, &set, LevelOrder::InnermostFirst).unwrap();
+            let out = run(&topo, &set, LevelOrder::InnermostFirst).unwrap();
             let report = out.schedule.meter_power(&topo).report(&topo);
             // root participates in every one of the w rounds
             assert!(report.max_writethrough_units >= w, "n={n}");
@@ -219,7 +205,7 @@ mod tests {
         // partition.
         let topo = CstTopology::with_leaves(64);
         let set = examples::full_nest(64);
-        let out = schedule(&topo, &set, LevelOrder::InnermostFirst).unwrap();
+        let out = run(&topo, &set, LevelOrder::InnermostFirst).unwrap();
         let report = out.schedule.meter_power(&topo).report(&topo);
         assert!(report.max_port_transitions <= 6);
         assert!(report.max_writethrough_units >= 32);

@@ -2,20 +2,14 @@
 //! the round-count and power plots (E1/E3). Always valid, always `M`
 //! rounds for `M` communications.
 
-use crate::common::schedule_from_partition_in;
 use cst_comm::{CommSet, Schedule};
-use cst_core::{CstError, CstTopology, MergedRound};
+use cst_core::{CstError, CstTopology};
 
-/// Schedule every communication in its own round, in id order, reusing a
-/// caller-owned [`MergedRound`] scratch.
-pub fn run(
-    topo: &CstTopology,
-    set: &CommSet,
-    merged: &mut MergedRound,
-) -> Result<Schedule, CstError> {
+/// Schedule every communication in its own round, in id order.
+pub fn run(topo: &CstTopology, set: &CommSet) -> Result<Schedule, CstError> {
     set.require_right_oriented()?;
-    let partition: Vec<_> = set.iter().map(|(id, _)| vec![id]).collect();
-    schedule_from_partition_in(topo, set, &partition, merged)
+    let endpoints = |id| set.get(id).map(|c| (c.source, c.dest));
+    Schedule::from_partition(topo, endpoints, set.iter().map(|(id, _)| [id]))
 }
 
 #[cfg(test)]
@@ -23,15 +17,11 @@ mod tests {
     use super::*;
     use cst_comm::examples;
 
-    fn schedule(topo: &CstTopology, set: &CommSet) -> Result<Schedule, CstError> {
-        run(topo, set, &mut MergedRound::new(topo))
-    }
-
     #[test]
     fn one_round_per_comm() {
         let topo = CstTopology::with_leaves(16);
         let set = examples::paper_figure_2();
-        let s = schedule(&topo, &set).unwrap();
+        let s = run(&topo, &set).unwrap();
         assert_eq!(s.num_rounds(), set.len());
         s.verify(&topo, &set).unwrap();
     }
@@ -39,7 +29,7 @@ mod tests {
     #[test]
     fn handles_empty() {
         let topo = CstTopology::with_leaves(8);
-        let s = schedule(&topo, &CommSet::empty(8)).unwrap();
+        let s = run(&topo, &CommSet::empty(8)).unwrap();
         assert_eq!(s.num_rounds(), 0);
     }
 }

@@ -73,14 +73,9 @@ mod tests {
     fn bundle_roundtrips_and_checks() {
         let topo = CstTopology::with_leaves(8);
         let set = CommSet::from_pairs(8, &[(1, 6)]);
-        let circuit = cst_core::Circuit::between(&topo, set.comms()[0].source, set.comms()[0].dest);
-        let merged = cst_core::MergedRound::build(&topo, &[circuit]).unwrap();
-        let schedule = Schedule {
-            rounds: vec![cst_comm::Round {
-                comms: vec![cst_comm::CommId(0)],
-                configs: merged.to_configs(),
-            }],
-        };
+        let endpoints = |id| set.get(id).map(|c| (c.source, c.dest));
+        let schedule =
+            Schedule::from_partition(&topo, endpoints, [[cst_comm::CommId(0)]]).unwrap();
         let counters = Some(expected_counters(&topo, &set));
         let bundle = ScheduleBundle::new(&set, schedule, counters);
 

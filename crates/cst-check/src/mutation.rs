@@ -13,7 +13,7 @@ use crate::{analyze, analyze_with_faults, CheckOptions};
 use cst_comm::{CommId, CommSet, Round, Schedule};
 use cst_core::diag::{DiagCode, DiagReport};
 use cst_core::{
-    Circuit, Connection, CstTopology, DirectedLink, FaultMask, MergedRound, NodeId, RoundConfigs,
+    Circuit, Connection, CstTopology, DirectedLink, FaultMask, NodeId, RoundConfigs,
 };
 
 /// One corruption per diagnostic class.
@@ -147,17 +147,15 @@ pub fn run(f: &Fixture) -> DiagReport {
     report
 }
 
-/// One round performing exactly `ids`, with the honest merged configs.
-fn round_of(topo: &CstTopology, set: &CommSet, ids: &[usize]) -> Round {
-    let circuits: Vec<_> = ids
-        .iter()
-        .map(|&i| {
-            let c = &set.comms()[i];
-            Circuit::between(topo, c.source, c.dest)
-        })
-        .collect();
-    let merged = MergedRound::build(topo, &circuits).expect("fixture circuits are compatible");
-    Round { comms: ids.iter().map(|&i| CommId(i)).collect(), configs: merged.to_configs() }
+/// The schedule performing round `r`'s ids in round `r`, with the honest
+/// tables.
+fn schedule_of<R: AsRef<[CommId]>>(
+    topo: &CstTopology,
+    set: &CommSet,
+    rounds: impl IntoIterator<Item = R>,
+) -> Schedule {
+    Schedule::from_partition(topo, |id| set.get(id).map(|c| (c.source, c.dest)), rounds)
+        .expect("fixture circuits are compatible")
 }
 
 /// A fixture built from `pairs` scheduled one communication per round, in
@@ -165,12 +163,12 @@ fn round_of(topo: &CstTopology, set: &CommSet, ids: &[usize]) -> Round {
 fn fixture_of(num_leaves: usize, pairs: &[(usize, usize)]) -> Fixture {
     let topo = CstTopology::with_leaves(num_leaves);
     let set = CommSet::from_pairs(num_leaves, pairs);
-    let rounds = (0..set.len()).map(|i| round_of(&topo, &set, &[i])).collect();
+    let schedule = schedule_of(&topo, &set, set.iter().map(|(id, _)| [id]));
     let counters = Some(expected_counters(&topo, &set));
     Fixture {
         topo,
         set,
-        schedule: Schedule { rounds },
+        schedule,
         counters,
         options: CheckOptions::strict(),
         fault: None,
@@ -296,7 +294,7 @@ pub fn corrupted(m: Mutation) -> Fixture {
             // edge degrades to half-duplex.
             let topo = CstTopology::with_leaves(8);
             let set = CommSet::from_pairs(8, &[(0, 2), (3, 6)]);
-            let schedule = Schedule { rounds: vec![round_of(&topo, &set, &[0, 1])] };
+            let schedule = schedule_of(&topo, &set, [[CommId(0), CommId(1)]]);
             let counters = Some(expected_counters(&topo, &set));
             let mut mask = FaultMask::empty(&topo);
             assert!(mask.degrade_edge(NodeId(5)));

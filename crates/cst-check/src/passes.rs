@@ -302,18 +302,12 @@ pub fn check_selection_order(
 mod tests {
     use super::*;
     use cst_comm::{CommId, Round};
-    use cst_core::{Circuit, MergedRound, NodeId};
+    use cst_core::NodeId;
 
-    fn round_of_ids(topo: &CstTopology, set: &CommSet, ids: &[usize]) -> Round {
-        let circuits: Vec<_> = ids
-            .iter()
-            .map(|&i| {
-                let c = &set.comms()[i];
-                Circuit::between(topo, c.source, c.dest)
-            })
-            .collect();
-        let merged = MergedRound::build(topo, &circuits).unwrap();
-        Round { comms: ids.iter().map(|&i| CommId(i)).collect(), configs: merged.to_configs() }
+    /// The schedule performing round `r`'s ids in round `r`.
+    fn schedule_of(topo: &CstTopology, set: &CommSet, rounds: &[&[usize]]) -> Schedule {
+        let ids = rounds.iter().map(|r| r.iter().map(|&i| CommId(i)).collect::<Vec<_>>());
+        Schedule::from_partition(topo, |id| set.get(id).map(|c| (c.source, c.dest)), ids).unwrap()
     }
 
     #[test]
@@ -334,9 +328,7 @@ mod tests {
     fn round_count_pass() {
         let topo = CstTopology::with_leaves(8);
         let set = CommSet::from_pairs(8, &[(0, 7), (1, 6)]);
-        let sched = Schedule {
-            rounds: vec![round_of_ids(&topo, &set, &[0]), round_of_ids(&topo, &set, &[1])],
-        };
+        let sched = schedule_of(&topo, &set, &[&[0], &[1]]);
         assert!(check_round_count(&topo, &set, &sched).is_clean());
         let padded = Schedule {
             rounds: sched.rounds.iter().cloned().chain([Round::default()]).collect(),
@@ -349,13 +341,7 @@ mod tests {
     fn static_transitions_match_meter() {
         let topo = CstTopology::with_leaves(8);
         let set = CommSet::from_pairs(8, &[(0, 7), (1, 6), (2, 5)]);
-        let sched = Schedule {
-            rounds: vec![
-                round_of_ids(&topo, &set, &[0]),
-                round_of_ids(&topo, &set, &[1]),
-                round_of_ids(&topo, &set, &[2]),
-            ],
-        };
+        let sched = schedule_of(&topo, &set, &[&[0], &[1], &[2]]);
         let report = sched.meter_power(&topo).report(&topo);
         assert_eq!(max_static_transitions(&topo, &sched), report.max_port_transitions);
         assert!(check_transitions(&topo, &sched, 9).is_clean());
@@ -367,9 +353,7 @@ mod tests {
     fn selection_order_flags_inverted_rounds() {
         let topo = CstTopology::with_leaves(8);
         let set = CommSet::from_pairs(8, &[(0, 7), (1, 6)]);
-        let good = Schedule {
-            rounds: vec![round_of_ids(&topo, &set, &[0]), round_of_ids(&topo, &set, &[1])],
-        };
+        let good = schedule_of(&topo, &set, &[&[0], &[1]]);
         assert!(check_selection_order(&topo, &set, &good).is_clean());
         let bad = Schedule { rounds: good.rounds.iter().rev().cloned().collect() };
         let rep = check_selection_order(&topo, &set, &bad);
@@ -387,7 +371,7 @@ mod tests {
         let mut mask = FaultMask::empty(&topo);
         assert!(mask.kill_switch(NodeId(1))); // (0, 7) crosses the root
         // Schedule only the surviving (1, 2); report (0, 7) as dropped.
-        let sched = Schedule { rounds: vec![round_of_ids(&topo, &set, &[1])] };
+        let sched = schedule_of(&topo, &set, &[&[1]]);
         let rep = check_faults(&topo, &set, &sched, &mask, &[0]);
         assert!(rep.is_clean(), "{}", rep.render_text());
     }
@@ -396,7 +380,7 @@ mod tests {
     fn fault_pass_flags_masked_hardware_use() {
         let topo = CstTopology::with_leaves(8);
         let set = CommSet::from_pairs(8, &[(0, 7)]);
-        let sched = Schedule { rounds: vec![round_of_ids(&topo, &set, &[0])] };
+        let sched = schedule_of(&topo, &set, &[&[0]]);
         let mut dead_switch = FaultMask::empty(&topo);
         assert!(dead_switch.kill_switch(NodeId(1)));
         let rep = check_faults(&topo, &set, &sched, &dead_switch, &[]);
@@ -420,12 +404,10 @@ mod tests {
         let set = CommSet::from_pairs(8, &[(0, 2), (3, 6)]);
         let mut mask = FaultMask::empty(&topo);
         assert!(mask.degrade_edge(NodeId(5)));
-        let both = Schedule { rounds: vec![round_of_ids(&topo, &set, &[0, 1])] };
+        let both = schedule_of(&topo, &set, &[&[0, 1]]);
         let rep = check_faults(&topo, &set, &both, &mask, &[]);
         assert_eq!(rep.first_error().unwrap().code, DiagCode::HalfDuplexViolation);
-        let split = Schedule {
-            rounds: vec![round_of_ids(&topo, &set, &[0]), round_of_ids(&topo, &set, &[1])],
-        };
+        let split = schedule_of(&topo, &set, &[&[0], &[1]]);
         assert!(check_faults(&topo, &set, &split, &mask, &[]).is_clean());
     }
 
@@ -435,16 +417,14 @@ mod tests {
         let set = CommSet::from_pairs(8, &[(0, 7), (1, 2)]);
         let mask = FaultMask::empty(&topo);
         // Nothing blocks (0, 7); dropping it anyway is a router bug.
-        let sched = Schedule { rounds: vec![round_of_ids(&topo, &set, &[1])] };
+        let sched = schedule_of(&topo, &set, &[&[1]]);
         let rep = check_faults(&topo, &set, &sched, &mask, &[0]);
         assert_eq!(rep.first_error().unwrap().code, DiagCode::DroppedRoutable);
         // Neither scheduled nor dropped → missing.
         let rep = check_faults(&topo, &set, &sched, &mask, &[]);
         assert_eq!(rep.first_error().unwrap().code, DiagCode::MissingComm);
         // Dropped but also scheduled → duplicate accounting.
-        let full = Schedule {
-            rounds: vec![round_of_ids(&topo, &set, &[0]), round_of_ids(&topo, &set, &[1])],
-        };
+        let full = schedule_of(&topo, &set, &[&[0], &[1]]);
         let rep = check_faults(&topo, &set, &full, &mask, &[0]);
         assert_eq!(rep.first_error().unwrap().code, DiagCode::DuplicateComm);
     }
@@ -454,9 +434,7 @@ mod tests {
         let topo = CstTopology::with_leaves(8);
         let set = CommSet::from_pairs(8, &[(0, 3), (4, 7)]);
         // Disjoint comms share no link: any round order is fine.
-        let sched = Schedule {
-            rounds: vec![round_of_ids(&topo, &set, &[1]), round_of_ids(&topo, &set, &[0])],
-        };
+        let sched = schedule_of(&topo, &set, &[&[1], &[0]]);
         assert!(check_selection_order(&topo, &set, &sched).is_clean());
         assert_eq!(NodeId::ROOT, NodeId(1)); // sanity on dense-index math
     }

@@ -245,20 +245,13 @@ pub fn check_rounds(topo: &CstTopology, set: &CommSet, schedule: &Schedule) -> D
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::Round;
     use cst_core::diag::Severity;
     use cst_core::{Connection, RoundConfigs};
 
-    fn round_of(topo: &CstTopology, set: &CommSet, ids: &[usize]) -> Round {
-        let circuits: Vec<_> = ids
-            .iter()
-            .map(|&i| {
-                let c = &set.comms()[i];
-                Circuit::between(topo, c.source, c.dest)
-            })
-            .collect();
-        let merged = MergedRound::build(topo, &circuits).unwrap();
-        Round { comms: ids.iter().map(|&i| CommId(i)).collect(), configs: merged.to_configs() }
+    /// The schedule performing round `r`'s ids in round `r`.
+    fn schedule_of(topo: &CstTopology, set: &CommSet, rounds: &[&[usize]]) -> Schedule {
+        let ids = rounds.iter().map(|r| r.iter().map(|&i| CommId(i)).collect::<Vec<_>>());
+        Schedule::from_partition(topo, |id| set.get(id).map(|c| (c.source, c.dest)), ids).unwrap()
     }
 
     fn codes(r: &DiagReport) -> Vec<DiagCode> {
@@ -269,13 +262,7 @@ mod tests {
     fn clean_schedule_yields_empty_report() {
         let topo = CstTopology::with_leaves(8);
         let set = CommSet::from_pairs(8, &[(0, 7), (1, 6), (2, 5)]);
-        let sched = Schedule {
-            rounds: vec![
-                round_of(&topo, &set, &[0]),
-                round_of(&topo, &set, &[1]),
-                round_of(&topo, &set, &[2]),
-            ],
-        };
+        let sched = schedule_of(&topo, &set, &[&[0], &[1], &[2]]);
         assert!(check_rounds(&topo, &set, &sched).is_clean());
     }
 
@@ -283,7 +270,7 @@ mod tests {
     fn double_stamp_detected_in_duplicated_entries() {
         let topo = CstTopology::with_leaves(8);
         let set = CommSet::from_pairs(8, &[(0, 7)]);
-        let mut sched = Schedule { rounds: vec![round_of(&topo, &set, &[0])] };
+        let mut sched = schedule_of(&topo, &set, &[&[0]]);
         let mut entries: Vec<_> =
             sched.rounds[0].configs.iter().map(|(n, c)| (n, *c)).collect();
         let dup = entries[0];
@@ -298,7 +285,7 @@ mod tests {
     fn foreign_config_is_a_warning() {
         let topo = CstTopology::with_leaves(8);
         let set = CommSet::from_pairs(8, &[(0, 1)]);
-        let mut sched = Schedule { rounds: vec![round_of(&topo, &set, &[0])] };
+        let mut sched = schedule_of(&topo, &set, &[&[0]]);
         // Node 5 takes no part in the sibling pair (0,1).
         sched.rounds[0].configs.entry_mut(NodeId(5)).set(Connection::L_TO_R).unwrap();
         let rep = check_rounds(&topo, &set, &sched);
@@ -312,9 +299,8 @@ mod tests {
         let topo = CstTopology::with_leaves(8);
         let set = CommSet::from_pairs(8, &[(0, 7), (1, 6)]);
         // Round 0 fine; comm 1 dropped entirely; plus an unknown id.
-        let mut r0 = round_of(&topo, &set, &[0]);
-        r0.comms.push(CommId(9));
-        let sched = Schedule { rounds: vec![r0] };
+        let mut sched = schedule_of(&topo, &set, &[&[0]]);
+        sched.rounds[0].comms.push(CommId(9));
         let rep = check_rounds(&topo, &set, &sched);
         let cs = codes(&rep);
         assert!(cs.contains(&DiagCode::UnknownComm));
@@ -328,9 +314,7 @@ mod tests {
         // Circuit::between, which handles both directions.
         let topo = CstTopology::with_leaves(8);
         let set = CommSet::from_pairs(8, &[(7, 0), (6, 1)]);
-        let sched = Schedule {
-            rounds: vec![round_of(&topo, &set, &[0]), round_of(&topo, &set, &[1])],
-        };
+        let sched = schedule_of(&topo, &set, &[&[0], &[1]]);
         assert!(check_rounds(&topo, &set, &sched).is_clean());
     }
 }

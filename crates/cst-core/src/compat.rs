@@ -1,16 +1,19 @@
 //! Compatibility checking for rounds of circuits.
 //!
 //! A set of communications can be performed simultaneously iff no two of
-//! them use the same tree edge in the same direction (paper §1). This
-//! module checks that property for collections of [`Circuit`]s and builds
-//! the merged per-switch configuration of a round.
+//! them use the same tree edge in the same direction (paper §1).
+//! [`MergedRound`] checks that property circuit by circuit and merges the
+//! round's per-switch configuration. It is the verifier's own merge
+//! (`cst_comm::check::check_rounds`), kept independent of
+//! [`crate::CircuitTable`], which writes every table a scheduler builds
+//! from a round partition.
 
 use crate::error::CstError;
-use crate::link::{DirectedLink, LinkOccupancy};
+use crate::link::LinkOccupancy;
 use crate::node::NodeId;
 use crate::path::Circuit;
-use crate::round::{ConfigArena, ConfigLookup, RoundConfigs};
-use crate::switch::{Connection, SwitchConfig};
+use crate::round::{ConfigArena, RoundConfigs};
+use crate::switch::SwitchConfig;
 use crate::topology::CstTopology;
 
 /// The merged state of one scheduling round: link occupancy plus every
@@ -41,16 +44,6 @@ impl MergedRound {
         self.arena.reset_for(topo);
     }
 
-    /// Merge `circuits` into a single round, failing on any directed-link
-    /// or switch-port conflict.
-    pub fn build(topo: &CstTopology, circuits: &[Circuit]) -> Result<MergedRound, CstError> {
-        let mut round = MergedRound::new(topo);
-        for c in circuits {
-            round.add(c)?;
-        }
-        Ok(round)
-    }
-
     /// Add one circuit, claiming its links and merging its settings.
     pub fn add(&mut self, c: &Circuit) -> Result<(), CstError> {
         for &l in &c.links {
@@ -64,34 +57,10 @@ impl MergedRound {
         Ok(())
     }
 
-    /// Add `c` only if all its links are free: returns `Ok(false)` (round
-    /// untouched) when any link is already claimed, `Ok(true)` when the
-    /// circuit was placed. Port conflicts after passing the link check are
-    /// genuine errors (link-disjointness implies port-disjointness).
-    pub fn try_add(&mut self, c: &Circuit) -> Result<bool, CstError> {
-        if c.links.iter().any(|&l| self.occ.is_used(l)) {
-            return Ok(false);
-        }
-        self.add(c)?;
-        Ok(true)
-    }
-
-    /// Whether a directed link is claimed in this round.
-    #[inline]
-    pub fn link_used(&self, l: DirectedLink) -> bool {
-        self.occ.is_used(l)
-    }
-
     /// Configuration required at `node`, O(1).
     #[inline]
     pub fn get(&self, node: NodeId) -> Option<&SwitchConfig> {
         self.arena.get(node)
-    }
-
-    /// Number of switches configured this round.
-    #[inline]
-    pub fn num_switches(&self) -> usize {
-        self.arena.touched()
     }
 
     /// Reset for the next round without reallocating.
@@ -107,40 +76,12 @@ impl MergedRound {
         self.arena.take_round()
     }
 
-    /// The round's configurations as a compact sorted table (copying).
-    pub fn to_configs(&self) -> RoundConfigs {
-        let mut entries: Vec<(NodeId, SwitchConfig)> =
-            self.arena.iter().map(|(n, cfg)| (n, *cfg)).collect();
-        entries.sort_unstable_by_key(|&(n, _)| n.0);
-        RoundConfigs::from_entries(entries)
-    }
-
     /// Iterate touched `(switch, configuration)` pairs in touch order
     /// (unsorted), O(touched) and allocation-free.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &SwitchConfig)> + '_ {
         self.arena.iter()
     }
-
-    /// Iterate `(switch, connection)` pairs of the round, deterministic
-    /// (heap-index) order. Allocates a sorted index; for hot paths use
-    /// [`MergedRound::iter`] or extract a [`RoundConfigs`] once.
-    pub fn requirements(&self) -> impl Iterator<Item = (NodeId, Connection)> {
-        let pairs: Vec<(NodeId, Connection)> = self.to_configs().requirements().collect();
-        pairs.into_iter()
-    }
-}
-
-impl ConfigLookup for MergedRound {
-    #[inline]
-    fn config_at(&self, node: NodeId) -> Option<&SwitchConfig> {
-        self.get(node)
-    }
-}
-
-/// True if the circuits are pairwise compatible (share no directed link).
-pub fn are_compatible(topo: &CstTopology, circuits: &[Circuit]) -> bool {
-    MergedRound::build(topo, circuits).is_ok()
 }
 
 #[cfg(test)]
@@ -152,13 +93,19 @@ mod tests {
         Circuit::right_oriented(topo, LeafId(s), LeafId(d))
     }
 
+    /// Merge `pairs` into a fresh round.
+    fn merged(topo: &CstTopology, pairs: &[(usize, usize)]) -> Result<MergedRound, CstError> {
+        let mut round = MergedRound::new(topo);
+        for &(s, d) in pairs {
+            round.add(&circ(topo, s, d))?;
+        }
+        Ok(round)
+    }
+
     #[test]
     fn disjoint_intervals_are_compatible() {
         let t = CstTopology::with_leaves(16);
-        let a = circ(&t, 0, 3);
-        let b = circ(&t, 4, 9);
-        let c = circ(&t, 10, 15);
-        assert!(are_compatible(&t, &[a, b, c]));
+        assert!(merged(&t, &[(0, 3), (4, 9), (10, 15)]).is_ok());
     }
 
     #[test]
@@ -166,34 +113,22 @@ mod tests {
         let t = CstTopology::with_leaves(16);
         // (0, 15) contains (1, 14): both need the upward link toward the
         // root on the left flank.
-        let outer = circ(&t, 0, 15);
-        let inner = circ(&t, 1, 14);
-        assert!(!are_compatible(&t, &[outer, inner]));
+        assert!(merged(&t, &[(0, 15), (1, 14)]).is_err());
     }
 
     #[test]
     fn sibling_leaf_pairs_all_compatible() {
         let t = CstTopology::with_leaves(32);
-        let circuits: Vec<_> = (0..16).map(|i| circ(&t, 2 * i, 2 * i + 1)).collect();
-        assert!(are_compatible(&t, &circuits));
-        let round = MergedRound::build(&t, &circuits).unwrap();
-        assert_eq!(round.num_switches(), 16);
-        assert_eq!(round.to_configs().len(), 16);
-    }
-
-    #[test]
-    fn merged_round_lists_requirements() {
-        let t = CstTopology::with_leaves(8);
-        let round = MergedRound::build(&t, &[circ(&t, 0, 1)]).unwrap();
-        let req: Vec<_> = round.requirements().collect();
-        assert_eq!(req.len(), 1);
-        assert_eq!(req[0].0, NodeId(4));
+        let pairs: Vec<_> = (0..16).map(|i| (2 * i, 2 * i + 1)).collect();
+        let mut round = merged(&t, &pairs).unwrap();
+        assert_eq!(round.iter().count(), 16);
+        assert_eq!(round.take_configs().len(), 16);
     }
 
     #[test]
     fn conflict_error_names_link() {
         let t = CstTopology::with_leaves(8);
-        let err = MergedRound::build(&t, &[circ(&t, 0, 7), circ(&t, 1, 6)]).unwrap_err();
+        let err = merged(&t, &[(0, 7), (1, 6)]).err().unwrap();
         assert!(matches!(err, CstError::LinkConflict { .. }));
     }
 
@@ -202,31 +137,20 @@ mod tests {
         let t = CstTopology::with_leaves(8);
         // (0,4) and (3,7) overlap as intervals: both cross the root upward
         // on... (0,4): up-links via n4,n2; (3,7): up via n5,n2 — n2^ shared.
-        assert!(!are_compatible(&t, &[circ(&t, 0, 4), circ(&t, 3, 7)]));
+        assert!(merged(&t, &[(0, 4), (3, 7)]).is_err());
         // but (0,3) and (4,7) stay within disjoint subtrees
-        assert!(are_compatible(&t, &[circ(&t, 0, 3), circ(&t, 4, 7)]));
+        assert!(merged(&t, &[(0, 3), (4, 7)]).is_ok());
     }
 
     #[test]
     fn reuse_across_rounds_resets_fully() {
         let t = CstTopology::with_leaves(8);
-        let mut round = MergedRound::new(&t);
-        round.add(&circ(&t, 0, 7)).unwrap();
+        let mut round = merged(&t, &[(0, 7)]).unwrap();
         assert!(round.get(NodeId::ROOT).is_some());
         round.clear();
-        assert_eq!(round.num_switches(), 0);
+        assert_eq!(round.iter().count(), 0);
         // the conflicting circuit now fits: the links were released
         round.add(&circ(&t, 1, 6)).unwrap();
-        assert!(round.num_switches() > 0);
-    }
-
-    #[test]
-    fn try_add_rejects_conflicts_without_mutation() {
-        let t = CstTopology::with_leaves(8);
-        let mut round = MergedRound::new(&t);
-        assert!(round.try_add(&circ(&t, 0, 7)).unwrap());
-        let before = round.num_switches();
-        assert!(!round.try_add(&circ(&t, 1, 6)).unwrap());
-        assert_eq!(round.num_switches(), before);
+        assert!(round.get(NodeId::ROOT).is_some());
     }
 }

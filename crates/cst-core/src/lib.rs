@@ -6,9 +6,11 @@
 //! * [`switch`] — the 3-sided circuit switch and its legal configurations;
 //! * [`link`] — directed tree links, the unit of communication conflict;
 //! * [`path`] — circuits (switch settings + links) for one communication;
-//! * [`compat`] — round assembly and compatibility checking;
+//! * [`compat`] — the verifier's circuit-by-circuit round merge and
+//!   compatibility check;
 //! * [`round`] — flat per-round configuration storage (dense arena +
-//!   compact sorted table);
+//!   compact sorted table) and [`CircuitTable`], the one writer of a
+//!   round's table from its members;
 //! * [`power`] — the PADR power model: one unit per connection established,
 //!   holding is free;
 //! * [`pe`] — processing-element roles;
@@ -46,7 +48,7 @@ pub mod topology;
 pub mod trace;
 pub mod wire;
 
-pub use compat::{are_compatible, MergedRound};
+pub use compat::MergedRound;
 pub use diag::{DiagCode, DiagReport, Diagnostic, Severity};
 pub use error::CstError;
 pub use fault::{FaultCause, FaultMask};

@@ -12,7 +12,7 @@
 //! schedule from the provenance the packer records.
 
 use cst_comm::{CommId, Round, Schedule};
-use cst_core::{ConfigArena, CstTopology, GeneralCommSet};
+use cst_core::{CircuitTable, CstTopology, GeneralCommSet};
 
 /// Move one routed layer's rounds onto the end of `composite`, remapping
 /// layer-local `CommId(k)` to input pair id `ids[k]`. `layer` is left
@@ -32,7 +32,10 @@ pub fn append_layer(composite: &mut Schedule, ids: &[usize], layer: &mut Schedul
 /// in local id order, each round's switch settings the union of its
 /// members' circuits. `rounds` is the layer's standalone round count;
 /// the result is stretched past it rather than dropping a pair whose
-/// recorded round lies beyond, so an auditor sees the discrepancy.
+/// recorded round lies beyond, so an auditor sees the discrepancy. A
+/// round whose circuits collide keeps all its members, and its table
+/// every member's circuit that fits beside the earlier ones: the
+/// collision is the auditor's finding, not a reason to stop rebuilding.
 pub fn layer_schedule(
     topo: &CstTopology,
     gset: &GeneralCommSet,
@@ -46,18 +49,21 @@ pub fn layer_schedule(
     for (k, &i) in ids.iter().enumerate() {
         out.rounds[round_of(i)].comms.push(CommId(k));
     }
-    let mut arena = ConfigArena::new(topo);
+    let pair = |&CommId(k): &CommId| gset.pairs()[ids[k]];
+    let (mut table, mut fits) = (CircuitTable::new(), Vec::new());
     for round in &mut out.rounds {
-        for &CommId(k) in &round.comms {
-            let (s, d) = gset.pairs()[ids[k]];
-            for (node, conn) in topo.path_settings(s, d) {
-                // A conflict is the auditor's finding to report (the
-                // analyzer sees the circuits collide), not a reason to
-                // stop rebuilding.
-                let _ = arena.set(node, conn);
+        if table.write(topo, round.comms.iter().map(pair), &mut round.configs).is_ok() {
+            continue;
+        }
+        fits.clear();
+        for id in &round.comms {
+            fits.push(pair(id));
+            if table.write(topo, fits.iter().copied(), &mut round.configs).is_err() {
+                fits.pop();
             }
         }
-        arena.take_round_into(&mut round.configs);
+        // Every prefix kept in `fits` was written whole above.
+        let _ = table.write(topo, fits.iter().copied(), &mut round.configs);
     }
     out
 }
@@ -101,6 +107,21 @@ mod tests {
         got.sort_unstable_by_key(|&(n, c)| (n.0, c.from.index(), c.to.index()));
         expect.sort_unstable_by_key(|&(n, c)| (n.0, c.from.index(), c.to.index()));
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn layer_schedule_keeps_colliding_members() {
+        let topo = CstTopology::with_leaves(8);
+        // (0,7) and (1,6) both drive the root's r_o: a bad provenance puts
+        // them in one round. Both stay members; the table holds (0,7)'s
+        // circuit and (2,3)'s, which fits beside it.
+        let gset = GeneralCommSet::from_pairs(8, &[(0, 7), (1, 6), (2, 3)]);
+        let layer = layer_schedule(&topo, &gset, &[0, 1, 2], &[0, 0, 0], 1);
+        assert_eq!(layer.rounds[0].comms, vec![CommId(0), CommId(1), CommId(2)]);
+        let mut want = RoundConfigs::new();
+        let pairs = [(0, 7), (2, 3)].map(|(s, d)| (cst_core::LeafId(s), cst_core::LeafId(d)));
+        CircuitTable::new().write(&topo, pairs, &mut want).unwrap();
+        assert_eq!(layer.rounds[0].configs, want);
     }
 
     #[test]

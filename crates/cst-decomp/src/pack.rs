@@ -342,8 +342,8 @@ fn for_each_row(n: usize, s: LeafId, d: LeafId, mut visit: impl FnMut(usize)) {
 mod tests {
     use super::*;
     use crate::{append_layer, decompose};
-    use cst_comm::{CommSet, Round};
-    use cst_core::{Circuit, ConfigArena, GeneralCommSet};
+    use cst_comm::CommSet;
+    use cst_core::{Circuit, GeneralCommSet};
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -375,17 +375,11 @@ mod tests {
                     None => rounds.push((vec![k], uses)),
                 }
             }
-            let mut layer = Schedule {
-                rounds: rounds
-                    .iter()
-                    .map(|(locals, _)| {
-                        let global: Vec<usize> = locals.iter().map(|&k| ids[k]).collect();
-                        let mut round = one_round(topo, pairs, &global);
-                        round.comms = locals.iter().map(|&k| CommId(k)).collect();
-                        round
-                    })
-                    .collect(),
-            };
+            let partition = rounds
+                .iter()
+                .map(|(locals, _)| locals.iter().map(|&k| CommId(k)).collect::<Vec<_>>());
+            let endpoints = |CommId(k): CommId| ids.get(k).map(|&i| pairs[i]);
+            let mut layer = Schedule::from_partition(topo, endpoints, partition).unwrap();
             layer_rounds.push(layer.num_rounds());
             append_layer(&mut composite, ids, &mut layer);
         }
@@ -397,18 +391,6 @@ mod tests {
         let links = Circuit::between(topo, s, d).links;
         let pes = [(false, s.0), (false, d.0)];
         pes.into_iter().chain(links.iter().map(|l| (true, l.dense_index()))).collect()
-    }
-
-    /// A round scheduling pairs `ids`.
-    fn one_round(topo: &CstTopology, pairs: &[(LeafId, LeafId)], ids: &[usize]) -> Round {
-        let mut arena = ConfigArena::new(topo);
-        for &i in ids {
-            let (s, d) = pairs[i];
-            for (node, c) in Circuit::between(topo, s, d).settings {
-                arena.set(node, c).unwrap();
-            }
-        }
-        Round { comms: ids.iter().map(|&i| CommId(i)).collect(), configs: arena.take_round() }
     }
 
     /// Congestion bound straight from the circuits: the most pairs on one
@@ -484,9 +466,12 @@ mod tests {
                         assert!(links.insert(link), "case {case}: link {link} shared");
                     }
                 }
-                assert_eq!(round.configs, one_round(&topo, pairs, &ids).configs, "case {case}");
             }
             assert_eq!(seen.len(), gset.len());
+            let endpoints = |id: CommId| pairs.get(id.0).copied();
+            let rounds = out.rounds.iter().map(|r| &r.comms);
+            let tables = Schedule::from_partition(&topo, endpoints, rounds);
+            assert_eq!(tables.unwrap(), out, "case {case}");
         }
         assert!(packed_any, "the sample must exercise packing");
     }
@@ -519,11 +504,9 @@ mod tests {
         let d = decompose(&gset);
         let mut composite = Schedule::default();
         for ids in &d.layers {
-            let mut layer =
-                Schedule { rounds: ids.iter().map(|&i| one_round(&topo, pairs, &[i])).collect() };
-            for (k, round) in layer.rounds.iter_mut().enumerate() {
-                round.comms = vec![CommId(k)];
-            }
+            let endpoints = |CommId(k): CommId| ids.get(k).map(|&i| pairs[i]);
+            let partition = (0..ids.len()).map(|k| [CommId(k)]);
+            let mut layer = Schedule::from_partition(&topo, endpoints, partition).unwrap();
             append_layer(&mut composite, ids, &mut layer);
         }
         let layer_rounds: Vec<usize> = d.layers.iter().map(Vec::len).collect();

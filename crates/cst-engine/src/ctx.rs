@@ -9,7 +9,7 @@ use crate::outcome::{PhaseTimings, RouteExtra, RouteOutcome};
 use crate::registry;
 use crate::router::Router;
 use cst_comm::{CommSet, Schedule, SchedulePool};
-use cst_core::{CstError, CstTopology, FaultMask, Fp64, MergedRound, PowerReport};
+use cst_core::{CircuitTable, CstError, CstTopology, FaultMask, Fp64, PowerReport};
 use cst_padr::CsaScratch;
 use std::time::Instant;
 
@@ -23,8 +23,8 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 /// scratch re-targets itself to the request's topology and grows its
 /// buffers monotonically. After a warm-up call per (router, shape), the
 /// serial CSA path allocates nothing; the other routers reuse the pooled
-/// schedules/meters and the shared [`MergedRound`] but still allocate for
-/// their own intermediate structures (decompositions, mirrored sets,
+/// schedules/meters but still allocate for their own intermediate
+/// structures (round partitions, decompositions, mirrored sets,
 /// layerings).
 ///
 /// # Examples
@@ -44,7 +44,8 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 #[derive(Default)]
 pub struct EngineCtx {
     pub(crate) csa: CsaScratch,
-    pub(crate) merged: MergedRound,
+    /// Round-table writer of the half-duplex split.
+    pub(crate) table: CircuitTable,
     pub(crate) pool: SchedulePool,
     /// Schedule cache; `None` until [`EngineCtx::enable_cache`]. While
     /// `None`, every route call dispatches straight to the router.

@@ -233,7 +233,7 @@ impl EngineCtx {
                 set,
                 mask,
                 schedule,
-                &mut self.merged,
+                &mut self.table,
                 &mut self.pool,
             )?;
             out.schedule = schedule;

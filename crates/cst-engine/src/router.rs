@@ -170,7 +170,8 @@ fn general_in(
 }
 
 /// Mixed-orientation well-nested sets: decompose into oriented halves,
-/// CSA each (left half through the mirror transform), concatenate.
+/// CSA each (the left half's rounds chosen on the mirrored leaf line),
+/// concatenate.
 pub struct General;
 
 impl Router for General {
@@ -347,7 +348,7 @@ impl Router for Greedy {
         set: &CommSet,
     ) -> Result<RouteOutcome, CstError> {
         let start = Instant::now();
-        let out = greedy::run(topo, set, self.order, &mut ctx.merged)?;
+        let out = greedy::run(topo, set, self.order)?;
         let power = ctx.meter_schedule(topo, &out.schedule);
         let timings = PhaseTimings::total_only(elapsed_ns(start));
         Ok(outcome::from_greedy(self.name(), out, power, timings))
@@ -384,7 +385,7 @@ impl Router for Roy {
         set: &CommSet,
     ) -> Result<RouteOutcome, CstError> {
         let start = Instant::now();
-        let out = roy::run(topo, set, self.order, &mut ctx.merged)?;
+        let out = roy::run(topo, set, self.order)?;
         let power = ctx.meter_schedule(topo, &out.schedule);
         let timings = PhaseTimings::total_only(elapsed_ns(start));
         Ok(outcome::from_roy(self.name(), out, power, timings))
@@ -408,7 +409,7 @@ impl Router for Sequential {
         set: &CommSet,
     ) -> Result<RouteOutcome, CstError> {
         let start = Instant::now();
-        let schedule = sequential::run(topo, set, &mut ctx.merged)?;
+        let schedule = sequential::run(topo, set)?;
         let power = ctx.meter_schedule(topo, &schedule);
         let rounds = schedule.num_rounds();
         Ok(RouteOutcome {

@@ -20,9 +20,7 @@
 //! enters this module (the allocation gate stays at zero).
 
 use cst_comm::{CommId, CommSet, Round, Schedule, SchedulePool};
-use cst_core::{
-    Circuit, CstError, CstTopology, FaultCause, FaultMask, MergedRound, NodeId,
-};
+use cst_core::{CircuitTable, CstError, CstTopology, FaultCause, FaultMask, NodeId};
 
 /// Outcome of [`partition_by_mask`].
 #[derive(Clone, Debug)]
@@ -95,8 +93,8 @@ const USED_DOWN: u8 = 0b10;
 /// kept untouched (bytes included); an offending round is split greedily:
 /// circuits are re-added in round order, and any circuit whose degraded
 /// edge is already driven in the opposite direction moves to an overflow
-/// round placed directly after. Round ids in `schedule` must refer to
-/// `set`.
+/// round placed directly after, and each sub-round's table is rewritten
+/// by `table`. Round ids in `schedule` must refer to `set`.
 ///
 /// A single original round can split into at most `1 +
 /// mask.degraded_edges().len()` sub-rounds, and in practice two: within a
@@ -111,7 +109,7 @@ pub fn split_half_duplex(
     set: &CommSet,
     mask: &FaultMask,
     schedule: Schedule,
-    merged: &mut MergedRound,
+    table: &mut CircuitTable,
     pool: &mut SchedulePool,
 ) -> Result<(Schedule, SplitStats), CstError> {
     debug_assert!(mask.has_degraded());
@@ -191,14 +189,10 @@ pub fn split_half_duplex(
         pool.put_round(round);
         for ids in sub_rounds {
             let mut sub = pool.take_round();
-            merged.reset_for(topo);
-            for &id in &ids {
-                let comm = set.get(id).ok_or_else(|| unknown_comm(id))?;
-                let circuit = Circuit::between(topo, comm.source, comm.dest);
-                merged.add(&circuit)?;
-            }
+            // Every id was looked up when the round was repacked.
+            let pairs = ids.iter().filter_map(|&id| set.get(id)).map(|c| (c.source, c.dest));
+            table.write(topo, pairs, &mut sub.configs)?;
             sub.comms = ids;
-            sub.configs = merged.take_configs();
             out.rounds.push(sub);
         }
     }
@@ -295,11 +289,11 @@ mod tests {
         let sched = schedule_csa(&topo, &set);
         let mut mask = FaultMask::empty(&topo);
         mask.degrade_edge(NodeId(4));
-        let mut merged = MergedRound::new(&topo);
         let mut pool = SchedulePool::new();
         let before = sched.clone();
         let (after, stats) =
-            split_half_duplex(&topo, &set, &mask, sched, &mut merged, &mut pool).unwrap();
+            split_half_duplex(&topo, &set, &mask, sched, &mut CircuitTable::new(), &mut pool)
+                .unwrap();
         assert_eq!(after, before, "no round drives n4's edge both ways");
         assert!(stats.reroutes.is_empty());
         assert_eq!(stats.extra_rounds, 0);
@@ -317,10 +311,10 @@ mod tests {
         assert_eq!(sched.num_rounds(), 1, "precondition: one shared round");
         let mut mask = FaultMask::empty(&topo);
         mask.degrade_edge(NodeId(5));
-        let mut merged = MergedRound::new(&topo);
         let mut pool = SchedulePool::new();
         let (after, stats) =
-            split_half_duplex(&topo, &set, &mask, sched, &mut merged, &mut pool).unwrap();
+            split_half_duplex(&topo, &set, &mask, sched, &mut CircuitTable::new(), &mut pool)
+                .unwrap();
         assert_eq!(after.num_rounds(), 2);
         assert_eq!(stats.extra_rounds, 1);
         assert_eq!(stats.reroutes.len(), 1);
@@ -349,31 +343,10 @@ mod tests {
             16,
             &[(0, 4), (5, 2), (8, 12), (13, 10), (6, 7), (14, 15)],
         );
-        // Use the universal-style input through a hand-built one-round-each
-        // baseline: simplest is sequential merging compatible pairs; here we
-        // just build a schedule via greedy one-round-per-comm and then merge
-        // opposite-direction pairs manually.
-        let mut merged = MergedRound::new(&topo);
-        let mut rounds = Vec::new();
-        for ids in [[0usize, 1], [2, 3]] {
-            merged.reset_for(&topo);
-            let mut comms = Vec::new();
-            for &i in &ids {
-                let c = set.get(CommId(i)).unwrap();
-                merged.add(&Circuit::between(&topo, c.source, c.dest)).unwrap();
-                comms.push(CommId(i));
-            }
-            rounds.push(Round { comms, configs: merged.take_configs() });
-        }
-        merged.reset_for(&topo);
-        let mut comms = Vec::new();
-        for i in [4usize, 5] {
-            let c = set.get(CommId(i)).unwrap();
-            merged.add(&Circuit::between(&topo, c.source, c.dest)).unwrap();
-            comms.push(CommId(i));
-        }
-        rounds.push(Round { comms, configs: merged.take_configs() });
-        let sched = Schedule { rounds };
+        // Opposite-direction pairs share rounds: {0, 1}, {2, 3}, {4, 5}.
+        let endpoints = |id| set.get(id).map(|c| (c.source, c.dest));
+        let rounds = [[0, 1], [2, 3], [4, 5]].map(|r| r.map(CommId));
+        let sched = Schedule::from_partition(&topo, endpoints, rounds).unwrap();
         sched.verify(&topo, &set).unwrap();
 
         let mut mask = FaultMask::empty(&topo);
@@ -383,7 +356,8 @@ mod tests {
         mask.degrade_edge(NodeId(6));
         let mut pool = SchedulePool::new();
         let (after, stats) =
-            split_half_duplex(&topo, &set, &mask, sched, &mut merged, &mut pool).unwrap();
+            split_half_duplex(&topo, &set, &mask, sched, &mut CircuitTable::new(), &mut pool)
+                .unwrap();
         assert_eq!(stats.extra_rounds, 2);
         assert_eq!(after.num_rounds(), 5);
         after.verify(&topo, &set).unwrap();

@@ -13,12 +13,11 @@
 //!   (the paper's Fig. 5, completed — see module docs for the derivation);
 //! * [`scheduler`] — the round driver: sweeps, schedule assembly, power
 //!   metering, circuit tracing;
-//! * [`orientation`] — the mirror transform that schedules left-oriented
-//!   sets on the reflected tree;
 //! * [`layers`] — crossing-free layering of right-oriented sets (§6), one
 //!   CSA run per layer;
 //! * [`universal`] — the one composition of oriented halves: split, layer
-//!   and CSA each half (the left one mirrored), concatenate;
+//!   and CSA each half (the left one's rounds chosen on the mirrored leaf
+//!   line), concatenate;
 //! * [`degrade`] — partitioning a set against a fault mask, and the
 //!   half-duplex repair;
 //! * [`session`] — configuration retention across successive sets;
@@ -46,7 +45,6 @@
 pub mod degrade;
 pub mod layers;
 pub mod messages;
-pub mod orientation;
 pub mod phase1;
 pub mod scheduler;
 pub mod session;
@@ -57,7 +55,6 @@ pub mod verifier;
 pub use degrade::{partition_by_mask, split_half_duplex, MaskPartition, Reroute, SplitStats};
 pub use layers::{decompose, schedule_layered_in, LayeredOutcome, Layering};
 pub use messages::{DownMsg, ReqKind, UpMsg, WORDS_DOWN, WORDS_UP};
-pub use orientation::mirror_round_configs;
 pub use universal::{schedule_any_in, UniversalOutcome};
 pub use phase1::{Phase1, SwitchState};
 pub use scheduler::{trace_circuit, ControlMetrics, CsaOutcome, CsaScratch, CsaTimings, Options};

@@ -39,8 +39,8 @@ use crate::phase1::{self, Phase1};
 use crate::switch_logic::step;
 use cst_comm::{CommId, CommSet, Schedule, SchedulePool, WellNestedChecker};
 use cst_core::{
-    ConfigArena, ConfigLookup, CstError, CstTopology, LeafId, NodeId, PowerMeter, PowerReport,
-    ProtocolTrace, Side, SwitchEvent,
+    CircuitTable, ConfigArena, ConfigLookup, CstError, CstTopology, LeafId, NodeId, PowerMeter,
+    PowerReport, ProtocolTrace, Side, SwitchEvent,
 };
 use std::time::Instant;
 
@@ -162,6 +162,8 @@ pub struct CsaScratch {
     nest: WellNestedChecker,
     bufs: Phase2Buffers,
     timings: CsaTimings,
+    /// Writes the left half's round tables in [`crate::universal`].
+    pub(crate) table: CircuitTable,
 }
 
 impl CsaScratch {

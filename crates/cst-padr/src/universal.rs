@@ -6,7 +6,7 @@
 //!
 //! 1. split into right- and left-oriented halves;
 //! 2. layer each half into crossing-free (well-nested) subsets;
-//! 3. CSA each layer (the left half through the mirror transform);
+//! 3. CSA each layer (the left half on the mirrored leaf line, below);
 //! 4. concatenate all rounds.
 //!
 //! Rounds = `Σ_layers w` per half; per-switch power = O(total layers).
@@ -15,13 +15,30 @@
 //! well-nestedness check, where each half is one layer and so one CSA
 //! run.
 //!
+//! The left half (paper §2.1: "Dealing with right oriented sets can be
+//! adjusted easily to left oriented sets") is scheduled by mirroring the
+//! leaf line: a left-oriented communication `(s, d)` with `s > d` becomes
+//! the right-oriented `(n−1−s, n−1−d)` on the reflected tree, which is
+//! again a CST of the same shape. The CSA run on the mirrored set chooses
+//! the left half's rounds. Reflection maps each mirrored circuit onto the
+//! left pair's own circuit, and a pair has only one circuit, so each
+//! round's table is written from the left pairs' own directed circuits by
+//! [`CircuitTable`](cst_core::CircuitTable), the writer every
+//! partition-built table goes through.
+//!
+//! Crossing pairs of opposite orientation can collide on `p_o`/`l_o`/`r_o`
+//! ports, so the halves cannot simply share rounds (`w_right + w_left`
+//! rounds on a well-nested set, at most 2× optimal); the engine's
+//! `general-merged` router re-times the concatenation with the composite
+//! packer, which moves communications between rounds only where their
+//! directed links and PEs are free.
+//!
 //! Cost: the two layerings, one CSA run per layer, and one copy of each
 //! round (made by [`layers::schedule_layered_in`]; this pass moves the
-//! rounds and remaps their ids in place, and mirrors the left half's
-//! configurations into new tables).
+//! rounds and remaps their ids in place, and rewrites the left half's
+//! tables in their own buffers).
 
 use crate::layers;
-use crate::orientation;
 use crate::scheduler::{CsaScratch, CsaTimings};
 use cst_comm::{CommSet, Schedule, SchedulePool};
 use cst_core::{CstError, CstTopology, PowerReport};
@@ -102,16 +119,19 @@ pub fn schedule_any_in(
 
     let mut left_layers = 0;
     if !left_half.set.is_empty() {
-        // Mirror, layer+schedule, reflect configurations back.
+        // The mirrored run chooses the rounds; each table is then written
+        // from the left pairs' own circuits.
         let mirrored = left_half.set.mirrored();
         let out = layers::schedule_layered_in(csa, pool, topo, &mirrored)?;
         left_layers = out.num_layers();
         timings += out.timings;
-        // A mirrored run's own report is unverified against the
-        // reflected schedule: leave the composite to be metered.
+        // A mirrored run's own report is unverified against the left
+        // half's schedule: leave the composite to be metered.
         csa_power = None;
+        let left = left_half.set.comms();
         for mut round in out.schedule.rounds {
-            round.configs = orientation::mirror_round_configs(&round.configs);
+            let pairs = round.comms.iter().map(|id| (left[id.0].source, left[id.0].dest));
+            csa.table.write(topo, pairs, &mut round.configs)?;
             for id in &mut round.comms {
                 *id = left_half.original[id.0];
             }

@@ -112,14 +112,14 @@ impl<'a, L: ConfigLookup> DataPhase<'a, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cst_core::{Circuit, MergedRound, RoundConfigs};
+    use cst_comm::{CommId, Schedule};
+    use cst_core::RoundConfigs;
 
+    /// The table of one round performing `pairs`.
     fn configured(topo: &CstTopology, pairs: &[(usize, usize)]) -> RoundConfigs {
-        let circuits: Vec<_> = pairs
-            .iter()
-            .map(|&(s, d)| Circuit::right_oriented(topo, LeafId(s), LeafId(d)))
-            .collect();
-        MergedRound::build(topo, &circuits).unwrap().to_configs()
+        let endpoints = |id: CommId| pairs.get(id.0).map(|&(s, d)| (LeafId(s), LeafId(d)));
+        let round: Vec<CommId> = (0..pairs.len()).map(CommId).collect();
+        Schedule::from_partition(topo, endpoints, [round]).unwrap().rounds.remove(0).configs
     }
 
     #[test]

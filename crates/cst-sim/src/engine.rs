@@ -428,10 +428,8 @@ mod tests {
     fn replaying_a_baseline_schedule_delivers_everything() {
         let topo = CstTopology::with_leaves(16);
         let set = examples::paper_figure_2();
-        let mut merged = cst_core::MergedRound::new(&topo);
         let roy =
-            cst_baseline::roy::run(&topo, &set, cst_baseline::LevelOrder::InnermostFirst, &mut merged)
-                .unwrap();
+            cst_baseline::roy::run(&topo, &set, cst_baseline::LevelOrder::InnermostFirst).unwrap();
         let sim = simulate_schedule(&topo, &set, &roy.schedule, None).unwrap();
         assert_eq!(sim.deliveries.len(), set.len());
         // same makespan formula as the CSA run with the same round count

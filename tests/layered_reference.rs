@@ -15,12 +15,12 @@
 //!   from scratch — plain and under sampled fault masks.
 
 use cst::comm::{CommId, CommSet, Communication, Round, Schedule, SchedulePool};
-use cst::core::{Circuit, CstTopology, FaultMask, MergedRound, NodeId};
+use cst::core::{Circuit, CircuitTable, CstTopology, FaultMask, MergedRound, NodeId};
 use cst::engine::{DegradationReport, DroppedComm, EngineCtx, RouteExtra, RouteOutcome};
 use cst::padr::{
-    decompose, mirror_round_configs, partition_by_mask, split_half_duplex, CsaScratch, Reroute,
-    SplitStats,
+    decompose, partition_by_mask, split_half_duplex, CsaScratch, Reroute, SplitStats,
 };
+use mirror::mirror_round_configs;
 use cst::serve::wire::encode_outcome_payload;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -275,10 +275,10 @@ fn half_duplex_split_matches_per_edge_check() {
                     .unwrap()
                     .schedule;
                 let (want, want_stats) = reference_split(&topo, survivors, mask, schedule.clone());
-                let mut merged = MergedRound::new(&topo);
+                let mut table = CircuitTable::new();
                 let mut pool = SchedulePool::new();
                 let (got, got_stats) =
-                    split_half_duplex(&topo, survivors, mask, schedule, &mut merged, &mut pool)
+                    split_half_duplex(&topo, survivors, mask, schedule, &mut table, &mut pool)
                         .unwrap();
                 assert_eq!(got, want, "n={n} seed={seed}: split schedule differs");
                 assert_eq!(
@@ -477,4 +477,47 @@ fn layered_and_universal_payloads_match_the_metered_reference() {
         "coverage: {one_layer} one-layer, {multi_layer} multi-layer, {mirrored} mirrored"
     );
     assert!(split > 0, "no masked route split a round");
+}
+
+/// The switch-config mirror the left half's tables were once reflected
+/// back with, kept verbatim as `reference_universal`'s own.
+mod mirror {
+    use cst::core::{Connection, NodeId, RoundConfigs, Side, SwitchConfig};
+
+    /// Mirror a node of the tree: the reflection maps each switch to the
+    /// switch covering the reflected leaf interval (same depth, reversed
+    /// position within the level).
+    fn mirror_node(node: NodeId) -> NodeId {
+        let level_start = 1usize << node.depth();
+        let offset = node.index() - level_start;
+        NodeId(level_start + (level_start - 1 - offset))
+    }
+
+    /// Mirror a whole round's switch configurations onto the reflected tree.
+    /// (Mirroring reverses within-level order, so the result is re-sorted by
+    /// `from_entries`.) A switch's reflection depends on its heap index
+    /// alone, so no topology is needed.
+    pub fn mirror_round_configs(configs: &RoundConfigs) -> RoundConfigs {
+        RoundConfigs::from_entries(
+            configs
+                .iter()
+                .map(|(node, cfg)| (mirror_node(node), mirror_config(cfg)))
+                .collect(),
+        )
+    }
+
+    /// Mirror a switch configuration: left and right swap; parent stays.
+    fn mirror_config(cfg: &SwitchConfig) -> SwitchConfig {
+        let flip = |s: Side| match s {
+            Side::Left => Side::Right,
+            Side::Right => Side::Left,
+            Side::Parent => Side::Parent,
+        };
+        let mut out = SwitchConfig::empty();
+        for c in cfg.connections() {
+            out.set(Connection { from: flip(c.from), to: flip(c.to) })
+                .expect("mirroring preserves legality");
+        }
+        out
+    }
 }
